@@ -29,12 +29,14 @@ from .dynamics import (
     HeatingChannel,
     IntegratorConfig,
     LindbladModel,
+    ScanResponse,
     ScanResult,
     SidebandProbe,
     evolve_lindblad,
     evolve_unitary,
     fock_cutoff_for_dynamics,
     heating_collapse_ops,
+    scan_response,
     simulate_flop,
     simulate_scan,
 )
@@ -106,9 +108,9 @@ __all__ = [
     "simulate_cooling", "simulate_cooling_quantum",
     # dynamics
     "FlopResult", "HeatingChannel", "IntegratorConfig", "LindbladModel",
-    "ScanResult", "SidebandProbe", "evolve_lindblad", "evolve_unitary",
-    "fock_cutoff_for_dynamics", "heating_collapse_ops", "simulate_flop",
-    "simulate_scan",
+    "ScanResponse", "ScanResult", "SidebandProbe", "evolve_lindblad",
+    "evolve_unitary", "fock_cutoff_for_dynamics", "heating_collapse_ops",
+    "scan_response", "simulate_flop", "simulate_scan",
     # errors
     "ConfigError", "DataFormatError", "FitError", "IntegrationError",
     "TruncationError",

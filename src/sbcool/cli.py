@@ -73,6 +73,11 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config, _parse_overrides(getattr(args, "set", None)))
 
 
+def _manifest(output_path, args: argparse.Namespace, cfg: ExperimentConfig) -> None:
+    write_manifest(output_path, args.command, cfg.seed, __version__, cfg.as_dict(),
+                   argv=args.argv)
+
+
 def _trimmed(dist: FockDistribution, n_support: int, pad: int = 8) -> FockDistribution:
     """Cut a long distribution to scan size; loss is recorded.
 
@@ -134,7 +139,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     p, shots_col = sample_shots(result.p_f1, shots, rng)
     rows = [(d, pv, shots_col) for d, pv in zip(result.x, p)]
     write_csv(args.out, SCAN_HEADER, rows)
-    write_manifest(args.out, "scan", cfg.seed, __version__, cfg.as_dict())
+    _manifest(args.out, args, cfg)
     print(f"wrote {args.out} ({len(rows)} points, sideband={args.sideband})")
     return 0
 
@@ -153,7 +158,7 @@ def cmd_flop(args: argparse.Namespace) -> int:
     p, shots_col = sample_shots(result.p_f1, shots, rng)
     rows = [(t, pv, shots_col) for t, pv in zip(result.x, p)]
     write_csv(args.out, FLOP_HEADER, rows)
-    write_manifest(args.out, "flop", cfg.seed, __version__, cfg.as_dict())
+    _manifest(args.out, args, cfg)
     print(f"wrote {args.out} ({len(rows)} points, sideband={args.sideband})")
     return 0
 
@@ -167,11 +172,11 @@ def cmd_cool(args: argparse.Namespace) -> int:
     result = simulate_cooling(dist0, schedule, cfg.heating(), cfg.repump())
     rows = list(zip(result.pulse_index, result.nbar, result.t_elapsed_s))
     write_csv(args.out, COOL_HEADER, rows)
-    write_manifest(args.out, "cool", cfg.seed, __version__, cfg.as_dict())
+    _manifest(args.out, args, cfg)
     if args.dist_out:
         dist_rows = list(enumerate(result.final.populations))
         write_csv(args.dist_out, DIST_HEADER, dist_rows)
-        write_manifest(args.dist_out, "cool", cfg.seed, __version__, cfg.as_dict())
+        _manifest(args.dist_out, args, cfg)
     total = schedule_total_time(schedule)
     drive = schedule_total_time(schedule, kinds=("red_sideband",))
     print(f"final nbar = {mean_phonon(result.final):.4f}")
@@ -232,7 +237,7 @@ def cmd_heatrate(args: argparse.Namespace) -> int:
     print(f"heating rate = {rate.value:.2f} +- {rate.std_error:.2f} quanta/s")
     if args.out:
         write_csv(args.out, HEATRATE_HEADER, rows)
-        write_manifest(args.out, "heatrate", cfg.seed, __version__, cfg.as_dict())
+        _manifest(args.out, args, cfg)
         print(f"wrote {args.out}")
     return 0
 
@@ -277,7 +282,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _repro_fig1(cfg: ExperimentConfig, outdir: Path) -> None:
+def _repro_fig1(args: argparse.Namespace, cfg: ExperimentConfig,
+                outdir: Path) -> None:
     """Sideband spectra of the cooled ion plus the thermal fit."""
     schedule = build_schedule(cfg.n_start, cfg.sideband_rabi_1_hz(), cfg.repump())
     dist0 = thermal_distribution(cfg.doppler_nbar, thermal_fock_cutoff(cfg.doppler_nbar))
@@ -296,7 +302,7 @@ def _repro_fig1(cfg: ExperimentConfig, outdir: Path) -> None:
         out = outdir / f"scan_{sideband}.csv"
         rows = [(d, p, 0) for d, p in zip(scans[sideband].x, scans[sideband].p_f1)]
         write_csv(out, SCAN_HEADER, rows)
-        write_manifest(out, "repro", cfg.seed, __version__, cfg.as_dict())
+        _manifest(out, args, cfg)
     eta = cfg.eta_eff()
     fit = fit_nbar_spectra(scans["red"], scans["blue"], cfg.nu_z_hz,
                            cfg.sideband_rabi_1_hz() / eta, cfg.dressing_rabi_hz,
@@ -304,24 +310,26 @@ def _repro_fig1(cfg: ExperimentConfig, outdir: Path) -> None:
     out = outdir / "fit_report.csv"
     write_csv(out, FIT_HEADER, [(fit.value, fit.std_error, fit.residual_norm,
                                  fit.n_evaluations)])
-    write_manifest(out, "repro", cfg.seed, __version__, cfg.as_dict())
+    _manifest(out, args, cfg)
     print(f"cooled nbar = {mean_phonon(cooled):.4f}; fitted nbar = {fit.value:.4f}")
 
 
-def _repro_fig2(cfg: ExperimentConfig, outdir: Path) -> None:
+def _repro_fig2(args: argparse.Namespace, cfg: ExperimentConfig,
+                outdir: Path) -> None:
     """Heating-rate pipeline: cooled, delayed, scanned, fitted."""
     delays = [0.0, 5e-3, 10e-3]
     rows, rate = _heatrate_loop(cfg, delays, probe_heating=False)
     out = outdir / "heatrate.csv"
     write_csv(out, HEATRATE_HEADER, rows)
-    write_manifest(out, "repro", cfg.seed, __version__, cfg.as_dict())
+    _manifest(out, args, cfg)
     out = outdir / "rate_report.csv"
     write_csv(out, RATE_HEADER, [(rate.value, rate.std_error, rate.residual_norm)])
-    write_manifest(out, "repro", cfg.seed, __version__, cfg.as_dict())
+    _manifest(out, args, cfg)
     print(f"fitted heating rate = {rate.value:.2f} +- {rate.std_error:.2f} quanta/s")
 
 
-def _repro_fig3(cfg: ExperimentConfig, outdir: Path) -> None:
+def _repro_fig3(args: argparse.Namespace, cfg: ExperimentConfig,
+                outdir: Path) -> None:
     """Long sideband flops of the cooled ion with heating active.
 
     Uses the reproduction parameter set: sideband Rabi 350 Hz, initial
@@ -336,7 +344,7 @@ def _repro_fig3(cfg: ExperimentConfig, outdir: Path) -> None:
         out = outdir / f"flop_{sideband}.csv"
         rows = [(t, p, 0) for t, p in zip(result.x, result.p_f1)]
         write_csv(out, FLOP_HEADER, rows)
-        write_manifest(out, "repro", cfg.seed, __version__, cfg.as_dict())
+        _manifest(out, args, cfg)
         print(f"wrote {out}")
 
 
@@ -345,11 +353,11 @@ def cmd_repro(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.target == "fig1":
-        _repro_fig1(cfg, outdir)
+        _repro_fig1(args, cfg, outdir)
     elif args.target == "fig2":
-        _repro_fig2(cfg, outdir)
+        _repro_fig2(args, cfg, outdir)
     else:
-        _repro_fig3(cfg, outdir)
+        _repro_fig3(args, cfg, outdir)
     return 0
 
 
@@ -449,7 +457,11 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     args = parser.parse_args(argv)
+    # manifests record this run's own command line, also when main is called in-process
+    args.argv = (parser.prog, *argv)
     try:
         return _DISPATCH[args.command](args)
     except (ConfigError, DataFormatError, ValueError) as exc:

@@ -50,6 +50,7 @@ __all__ = [
     "IntegratorConfig",
     "LindbladModel",
     "FlopResult",
+    "ScanResponse",
     "ScanResult",
     "SidebandProbe",
     "heating_collapse_ops",
@@ -57,6 +58,7 @@ __all__ = [
     "evolve_unitary",
     "fock_cutoff_for_dynamics",
     "f1_projector",
+    "scan_response",
     "simulate_flop",
     "simulate_scan",
 ]
@@ -149,19 +151,27 @@ def _lindblad_rhs(h_mat: np.ndarray, l_mats: list[np.ndarray]):
 
     Every term is evaluated literally (no rho = rho' shortcut): shortcuts of
     that kind make roundoff-sized Hermiticity errors grow exponentially under
-    strong dissipation instead of staying contractive.
+    strong dissipation instead of staying contractive.  Right products are
+    applied as rho @ M = (M.T @ rho.T).T with M.T precomputed, so each call
+    multiplies sparse @ dense and builds no sparse transpose.
     """
     h_sp = sp.csr_array(h_mat)
-    ls = [(sp.csr_array(l), sp.csr_array(l.conj().T),
-           sp.csr_array(l.conj().T @ l)) for l in l_mats]
+    h_t = sp.csr_array(h_mat.T)
+    ls = []
+    for l in l_mats:
+        ldl = l.conj().T @ l
+        # (L rho) L^dagger = (conj(L) @ (L rho).T).T
+        ls.append((sp.csr_array(l), sp.csr_array(l.conj()),
+                   sp.csr_array(ldl), sp.csr_array(ldl.T)))
     dim = h_mat.shape[0]
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         rho = y.reshape(dim, dim)
-        drho = -1j * (h_sp @ rho - rho @ h_sp)
-        for l_sp, ldag_sp, ldl_sp in ls:
-            drho += (l_sp @ rho) @ ldag_sp
-            drho -= 0.5 * (ldl_sp @ rho + rho @ ldl_sp)
+        rho_t = rho.T
+        drho = -1j * (h_sp @ rho - (h_t @ rho_t).T)
+        for l_sp, lconj_sp, ldl_sp, ldl_t in ls:
+            drho += (lconj_sp @ (l_sp @ rho).T).T
+            drho -= 0.5 * (ldl_sp @ rho + (ldl_t @ rho_t).T)
         return drho.reshape(-1)
 
     return rhs
@@ -197,8 +207,9 @@ def evolve_lindblad(
 
     times must be strictly increasing and start at >= 0; integration always
     starts from t = 0 with rho0.  Output states are validated (Hermitian,
-    unit trace, positive) with tolerances appropriate for integrator output.
-    Trace drift beyond 1e-6 raises IntegrationError with the drift value.
+    unit trace, positive) with tolerances appropriate for integrator output;
+    a state that fails them, or a trace drift beyond 1e-6, raises
+    IntegrationError.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
@@ -246,8 +257,12 @@ def evolve_lindblad(
             raise IntegrationError(
                 f"trace drift {drift:.3e} at t={t[i]:.6g} s exceeds {TRACE_DRIFT_ABORT:.0e}")
         rho = (rho + rho.conj().T) / 2.0  # remove roundoff-scale asymmetry only
-        states.append(DensityMatrix(model.space, rho,
-                                    herm_tol=1e-10, trace_tol=1e-6, psd_tol=1e-7))
+        try:
+            states.append(DensityMatrix(model.space, rho,
+                                        herm_tol=1e-10, trace_tol=1e-6, psd_tol=1e-7))
+        except ValueError as exc:
+            raise IntegrationError(
+                f"integrator output at t={t[i]:.6g} s is not a valid state: {exc}") from exc
     return states
 
 
@@ -293,12 +308,14 @@ def fock_cutoff_for_dynamics(n_bar0: float, n_dot: float, t_max: float) -> int:
     return n_max
 
 
-def _check_top_level(state: DensityMatrix) -> None:
-    pops = motional_populations(state)
-    top = float(pops[-1])
+def _check_top(top: float) -> None:
     if top > TOP_LEVEL_TOL:
         raise TruncationError(
             f"top Fock level holds {top:.3e} > {TOP_LEVEL_TOL:.0e}; raise n_max")
+
+
+def _check_top_level(state: DensityMatrix) -> None:
+    _check_top(float(motional_populations(state)[-1]))
 
 
 def f1_projector(space: ProductSpace) -> Operator:
@@ -487,15 +504,18 @@ def simulate_flop(
     dist0 = _initial_distribution(initial, n_max)
     rho0 = distribution_density(dist0, space, "0'")
     h = probe.hamiltonian(space, probe.resonance_hz())
-    collapse = ()
-    if heating is not None and heating.n_dot > 0:
-        collapse = tuple(heating_collapse_ops(heating, space))
-    model = LindbladModel(h, collapse)
+    model = LindbladModel(h, _heating_ops(heating, space))
     states = evolve_lindblad(model, rho0, t, cfg)
     _check_top_level(states[-1])
     proj = f1_projector(space)
     p = np.array([float(np.real(np.sum(proj.matrix.T * s.matrix))) for s in states])
     return FlopResult(t, p)
+
+
+def _heating_ops(heating: HeatingChannel | None, space) -> tuple[Operator, ...]:
+    if heating is None or heating.n_dot == 0:
+        return ()
+    return tuple(heating_collapse_ops(heating, space))
 
 
 def _scan_point(args) -> float:
@@ -508,6 +528,15 @@ def _scan_point(args) -> float:
     _check_top_level(state)
     proj = f1_projector(space)
     return float(np.real(np.sum(proj.matrix.T * state.matrix)))
+
+
+def _scan_grid(detunings_hz: Sequence[float], t_probe_s: float) -> np.ndarray:
+    deltas = np.asarray(detunings_hz, dtype=float)
+    if deltas.ndim != 1 or deltas.size < 1:
+        raise ValueError("detunings must be a non-empty 1-D sequence")
+    if t_probe_s <= 0:
+        raise ValueError("t_probe_s must be > 0")
+    return deltas
 
 
 def simulate_scan(
@@ -527,20 +556,14 @@ def simulate_scan(
     jobs > 1 evaluates them in a process pool with output order fixed by the
     input grid regardless of parallelism.
     """
-    deltas = np.asarray(detunings_hz, dtype=float)
-    if deltas.ndim != 1 or deltas.size < 1:
-        raise ValueError("detunings must be a non-empty 1-D sequence")
-    if t_probe_s <= 0:
-        raise ValueError("t_probe_s must be > 0")
+    deltas = _scan_grid(detunings_hz, t_probe_s)
     n_dot = heating.n_dot if heating is not None else 0.0
     if n_max is None:
         n_max = _pick_n_max(initial, n_dot, t_probe_s)
     space = probe.space(n_max)
     dist0 = _initial_distribution(initial, n_max)
     rho0 = distribution_density(dist0, space, "0'")
-    collapse_mats = []
-    if heating is not None and heating.n_dot > 0:
-        collapse_mats = [op.matrix for op in heating_collapse_ops(heating, space)]
+    collapse_mats = [op.matrix for op in _heating_ops(heating, space)]
 
     tasks = [(probe, float(d), float(t_probe_s), rho0.matrix, space, collapse_mats, cfg)
              for d in deltas]
@@ -550,3 +573,66 @@ def simulate_scan(
     else:
         p = [_scan_point(task) for task in tasks]
     return ScanResult(deltas, np.asarray(p))
+
+
+@dataclass(frozen=True)
+class ScanResponse:
+    """A scan as a linear map of the initial Fock populations of |0'>.
+
+    f1[i, n] is P(F=1) at scan point i for the initial state |0', n>, and
+    top[i, n] is the population that state leaves in the top Fock level.  A
+    diagonal initial state with populations p reads out f1 @ p.
+    """
+
+    f1: np.ndarray
+    top: np.ndarray
+
+    def p_f1(self, populations: np.ndarray) -> np.ndarray:
+        """f1 @ p; raises TruncationError when top @ p exceeds TOP_LEVEL_TOL."""
+        p = np.asarray(populations, dtype=float)
+        _check_top(float(np.max(self.top @ p)))
+        return self.f1 @ p
+
+
+def scan_response(
+    probe: SidebandProbe,
+    detunings_hz: Sequence[float],
+    t_probe_s: float,
+    n_max: int,
+    heating: HeatingChannel | None = None,
+) -> ScanResponse:
+    """Master-equation response of a scan to every initial level |0', n <= n_max>.
+
+    Built in the Heisenberg picture, two evolve_lindblad calls per detuning
+    instead of one per detuning and level: <O>(t) = Tr[O(t) rho0] with O(t)
+    evolved by the adjoint generator.  The heating jump set {a', a} is closed
+    under the adjoint, so the adjoint dissipator equals the forward one and
+    the adjoint generator is the forward one with H -> -H.  Both observables
+    are positive and trace-preserved, so they are evolved as the states
+    P_dark / Tr and (P_dark + P_top) / Tr and validated like any other
+    integrator output; the F=1 and top-level readouts of |0', n> are the
+    diagonal entries on the |0'> rows, scaled back by the traces.
+    """
+    deltas = _scan_grid(detunings_hz, t_probe_s)
+    space = probe.space(n_max)
+    fd = space.fock.dim
+    first = space.index("0'", 0)
+    rows = slice(first, first + fd)
+    dark = np.zeros(space.dim)
+    dark[rows] = 1.0
+    top = np.zeros(space.dim)
+    top[fd - 1::fd] = 1.0  # level n_max of every spin state
+    watched = []
+    for obs in (dark, dark + top):
+        norm = float(obs.sum())
+        watched.append((norm, DensityMatrix(space, np.diag(obs / norm).astype(complex))))
+    collapse = _heating_ops(heating, space)
+    f1, top_rows = [], []
+    for delta in deltas:
+        model = LindbladModel(probe.hamiltonian(space, float(delta)) * -1.0, collapse)
+        dark_t, both_t = (
+            norm * evolve_lindblad(model, obs0, [t_probe_s])[-1].populations()[rows]
+            for norm, obs0 in watched)
+        f1.append(1.0 - dark_t)
+        top_rows.append(both_t - dark_t)
+    return ScanResponse(np.array(f1), np.array(top_rows))

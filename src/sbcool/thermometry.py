@@ -18,8 +18,9 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
+from .dynamics import ScanResponse, SidebandProbe, fock_cutoff_for_dynamics, scan_response
 from .errors import FitError
-from .ion import PhysicalConstants, CODATA
+from .ion import CODATA, PhysicalConstants, TrapParams
 from .qcore import FockDistribution, thermal_distribution, thermal_fock_cutoff
 
 __all__ = [
@@ -101,6 +102,33 @@ def sideband_probability(
     return out if np.ndim(t) else float(out[0])
 
 
+def _line_shape(
+    detuning_hz: np.ndarray,
+    sideband: Literal["red", "blue"],
+    eta_omega_hz: float,
+    nu_z_hz: float,
+    t_probe_s: float,
+    n_max: int,
+) -> np.ndarray:
+    """Detuned Rabi transfer matrix L[i, n] of |0', n> at detuning i."""
+    n = np.arange(n_max + 1)
+    root = np.sqrt(n) if sideband == "red" else np.sqrt(n + 1)
+    if sideband == "red":
+        big_delta = np.asarray(detuning_hz, dtype=float) + nu_z_hz
+    elif sideband == "blue":
+        big_delta = np.asarray(detuning_hz, dtype=float) - nu_z_hz
+    else:
+        raise ValueError("sideband must be 'red' or 'blue'")
+    # angular coupling Omega_n = 2 pi f1 root_n; generalised flop at detuning
+    f_n = eta_omega_hz * root  # cyclic coupling per level
+    f_n2 = f_n ** 2
+    w2 = f_n2[None, :] + big_delta[:, None] ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weight = np.where(w2 > 0, f_n2[None, :] / np.where(w2 > 0, w2, 1.0), 0.0)
+    amp = np.sin(np.pi * np.sqrt(w2) * t_probe_s) ** 2
+    return weight * amp
+
+
 def sideband_scan_probability(
     detuning_hz: np.ndarray,
     sideband: Literal["red", "blue"],
@@ -119,22 +147,30 @@ def sideband_scan_probability(
     (no heating); tested against it.
     """
     p = _populations(state, n_max)
-    n = np.arange(p.size)
-    root = np.sqrt(n) if sideband == "red" else np.sqrt(n + 1)
-    if sideband == "red":
-        big_delta = np.asarray(detuning_hz, dtype=float) + nu_z_hz
-    elif sideband == "blue":
-        big_delta = np.asarray(detuning_hz, dtype=float) - nu_z_hz
-    else:
-        raise ValueError("sideband must be 'red' or 'blue'")
-    # angular coupling Omega_n = 2 pi f1 root_n; generalised flop at detuning
-    f_n = eta_omega_hz * root  # cyclic coupling per level
-    f_n2 = f_n ** 2
-    w2 = f_n2[None, :] + big_delta[:, None] ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        weight = np.where(w2 > 0, f_n2[None, :] / np.where(w2 > 0, w2, 1.0), 0.0)
-    amp = np.sin(np.pi * np.sqrt(w2) * t_probe_s) ** 2
-    return (weight * amp) @ p
+    return _line_shape(detuning_hz, sideband, eta_omega_hz, nu_z_hz,
+                       t_probe_s, p.size - 1) @ p
+
+
+def _analytic_response(
+    detuning_hz: np.ndarray,
+    sideband: Literal["red", "blue"],
+    eta_omega_hz: float,
+    nu_z_hz: float,
+    t_probe_s: float,
+    n_max: int,
+) -> ScanResponse:
+    """The closed-form line shape as a ScanResponse.
+
+    Each |0', n> exchanges population with |D, n - 1> (red) or |D, n + 1>
+    (blue) only, so level n_max keeps 1 - L of |0', n_max> and, on the blue
+    sideband, receives L of |0', n_max - 1>.
+    """
+    line = _line_shape(detuning_hz, sideband, eta_omega_hz, nu_z_hz, t_probe_s, n_max)
+    top = np.zeros_like(line)
+    top[:, n_max] = 1.0 - line[:, n_max]
+    if sideband == "blue":
+        top[:, n_max - 1] = line[:, n_max - 1]
+    return ScanResponse(line, top)
 
 
 def ratio_to_nbar(ratio: SidebandRatio | float) -> float:
@@ -250,10 +286,22 @@ def fit_nbar_spectra(
     """Single-parameter thermal fit to a red/blue scan pair.
 
     Minimises the summed squared residuals of both spectra over n_bar >= 0.
-    forward="analytic" uses the closed-form detuned line shape (equivalent to
-    the effective master-equation scan and fast enough for Monte-Carlo
-    studies); forward="integrate" evaluates the actual master-equation scan.
-    omega_dr_hz only enters the full_dressed forward.
+    Each spectrum is linear in the initial Fock populations, so its forward
+    model is a ScanResponse built once per fit, at the Fock cutoff of the
+    bracket grid's top; a residual evaluation is then two matrix-vector
+    products, and raises TruncationError when the thermal state leaves more
+    than TOP_LEVEL_TOL in the top Fock level.  forward="analytic" builds it from
+    the closed-form detuned line shape (equivalent to the effective
+    master-equation scan and fast enough for Monte-Carlo studies);
+    forward="integrate", or model="full_dressed", builds it from the master
+    equation with scan_response.  omega_dr_hz only enters the full_dressed
+    forward.
+
+    The full_dressed response states drift toward the PSD tolerance as n_max
+    grows (worst eigenvalue -4.4e-8 at n_max 41 and -9.8e-8 at 176 for the
+    1.27 ms reference probe), so full_dressed master-equation fits are limited
+    to cold data, n_bar up to about 1.5; hotter fits may raise
+    IntegrationError.
     """
     red_x = np.asarray(red.x, dtype=float)
     blue_x = np.asarray(blue.x, dtype=float)
@@ -261,32 +309,6 @@ def fit_nbar_spectra(
     blue_p = np.asarray(blue.p_f1, dtype=float)
     n_points = red_p.size + blue_p.size
     eta_omega = eta_eff * omega_hz
-
-    if forward == "analytic" and model == "effective":
-        def rss(n_bar: float) -> float:
-            n_max = _auto_n_max(n_bar)
-            model_red = sideband_scan_probability(
-                red_x, "red", n_bar, eta_omega, nu_z_hz, t_probe_s, n_max)
-            model_blue = sideband_scan_probability(
-                blue_x, "blue", n_bar, eta_omega, nu_z_hz, t_probe_s, n_max)
-            return float(np.sum((model_red - red_p) ** 2)
-                         + np.sum((model_blue - blue_p) ** 2))
-    else:
-        from .dynamics import SidebandProbe, simulate_scan
-        from .ion import TrapParams
-
-        trap = TrapParams(nu_z_hz=nu_z_hz)
-        base = dict(trap=trap, carrier_rabi_hz=omega_hz,
-                    dressing_rabi_hz=omega_dr_hz, model=model)
-        # keep the driven eta*omega product identical to the analytic forward
-        probe_red = SidebandProbe(sideband="red", sideband_rabi_hz=eta_omega, **base)
-        probe_blue = SidebandProbe(sideband="blue", sideband_rabi_hz=eta_omega, **base)
-
-        def rss(n_bar: float) -> float:
-            model_red = simulate_scan(probe_red, red_x, t_probe_s, n_bar).p_f1
-            model_blue = simulate_scan(probe_blue, blue_x, t_probe_s, n_bar).p_f1
-            return float(np.sum((model_red - red_p) ** 2)
-                         + np.sum((model_blue - blue_p) ** 2))
 
     # moment hint from the peak ratio when resolvable
     hint = 0.5
@@ -296,7 +318,33 @@ def fit_nbar_spectra(
             hint = max(ratio_to_nbar(min(r, 0.98)), 0.05)
     except (ZeroDivisionError, ValueError):
         pass
-    return _fit_scalar(rss, _nbar_grid(hint), n_points)
+    grid = _nbar_grid(hint)
+    n_bar_top = float(grid[-1])
+
+    if forward == "analytic" and model == "effective":
+        n_max = _auto_n_max(n_bar_top)
+
+        def response(x: np.ndarray, sideband: str) -> ScanResponse:
+            return _analytic_response(x, sideband, eta_omega, nu_z_hz, t_probe_s, n_max)
+    else:
+        n_max = fock_cutoff_for_dynamics(n_bar_top, 0.0, t_probe_s)
+        trap = TrapParams(nu_z_hz=nu_z_hz)
+
+        def response(x: np.ndarray, sideband: str) -> ScanResponse:
+            # keep the driven eta*omega product identical to the analytic forward
+            probe = SidebandProbe(trap=trap, carrier_rabi_hz=omega_hz,
+                                  dressing_rabi_hz=omega_dr_hz, sideband=sideband,
+                                  sideband_rabi_hz=eta_omega, model=model)
+            return scan_response(probe, x, t_probe_s, n_max)
+    red_response = response(red_x, "red")
+    blue_response = response(blue_x, "blue")
+
+    def rss(n_bar: float) -> float:
+        p = thermal_distribution(n_bar, n_max).populations
+        return float(np.sum((red_response.p_f1(p) - red_p) ** 2)
+                     + np.sum((blue_response.p_f1(p) - blue_p) ** 2))
+
+    return _fit_scalar(rss, grid, n_points)
 
 
 def fit_nbar_flop(flop, eta_omega_hz: float) -> FitResult:

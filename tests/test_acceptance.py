@@ -77,6 +77,9 @@ def test_criterion_04_sideband_ratio_thermometry():
                                     CFG.dressing_rabi_hz, T_PROBE, ETA,
                                     forward="integrate")
     assert noiseless.value == pytest.approx(0.130, abs=0.005)
+    analytic = sb.fit_nbar_spectra(red, blue, NU, OMEGA_EFF, CFG.dressing_rabi_hz,
+                                   T_PROBE, ETA, forward="analytic")
+    assert abs(noiseless.value - analytic.value) < 1e-6
 
     rng = np.random.default_rng(CFG.seed)
     hits = 0

@@ -114,6 +114,25 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exit_code_3_when_integrator_output_is_not_a_state(tmp_path, capsys):
+    # loose tolerances let the integrator return a non-positive state
+    code = run(["flop", "--sideband", "blue", "--tmax", "5e-3", "--points", "21",
+                "--set", "integrator_rel_tol=1e-1", "--set", "integrator_abs_tol=1e-1",
+                "--out", tmp_path / "flop.csv"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "not positive semidefinite" in err
+
+
+def test_manifest_records_main_argv(tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--sideband", "red", "--points", "3", "--shots", "inf",
+            "--out", str(out)]
+    assert main(argv) == 0
+    man = json.loads((tmp_path / "scan.manifest.json").read_text())
+    assert man["argv"] == ["sbcool", *argv]
+
+
 def test_heatrate_command_writes_rows(tmp_path, capsys):
     out = tmp_path / "rate.csv"
     code = run(["heatrate", "--delays", "0,4e-3", "--set", "n_start=40",

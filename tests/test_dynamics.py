@@ -16,6 +16,7 @@ from sbcool import (
     ScanResult,
     SidebandProbe,
     TruncationError,
+    scan_response,
     effective_two_level_hamiltonian,
     evolve_lindblad,
     evolve_unitary,
@@ -131,6 +132,28 @@ def test_truncation_guard_trips_when_space_too_small():
     with pytest.raises(TruncationError):
         simulate_flop(resonant_probe("blue"), times, 2.0,
                       heating=HeatingChannel(500.0), n_max=8)
+
+
+@pytest.mark.parametrize("model", ["effective", "full_dressed"])
+@pytest.mark.parametrize("sideband", ["red", "blue"])
+@pytest.mark.parametrize("n_dot", [0.0, 41.0])
+def test_scan_response_matches_simulate_scan(model, sideband, n_dot):
+    probe = resonant_probe(sideband, model)
+    grid = probe.resonance_hz() + np.array([-1500.0, 0.0, 700.0])
+    heating = HeatingChannel(n_dot) if n_dot > 0 else None
+    n_max = 12
+    response = scan_response(probe, grid, 1.27e-3, n_max, heating=heating)
+    direct = simulate_scan(probe, grid, 1.27e-3, 0.13, heating=heating, n_max=n_max)
+    p = thermal_distribution(0.13, n_max).populations
+    assert np.max(np.abs(response.p_f1(p) - direct.p_f1)) < 1e-7
+
+
+def test_scan_response_top_guard_trips_when_space_too_small():
+    probe = resonant_probe("blue")
+    response = scan_response(probe, [probe.resonance_hz()], 1.27e-3, 12)
+    response.p_f1(thermal_distribution(0.13, 12).populations)
+    with pytest.raises(TruncationError):
+        response.p_f1(thermal_distribution(2.0, 12).populations)
 
 
 def test_heating_collapse_ops_scaling():
