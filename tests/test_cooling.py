@@ -76,6 +76,16 @@ def test_cooling_trajectory_bookkeeping():
     assert res.t_elapsed_s[-1] == pytest.approx(schedule_total_time(sched))
 
 
+def test_cooling_carries_initial_truncation_loss():
+    dist0 = thermal_distribution(1.0, 12)
+    assert dist0.truncation_loss > 1e-5
+    sched = build_schedule(5, F1, RepumpModel())
+    rm = simulate_cooling(dist0, sched, HeatingChannel(41.0), RepumpModel(), n_max=25)
+    qm = simulate_cooling_quantum(dist0, sched, None, n_max=12)
+    assert rm.final.truncation_loss == dist0.truncation_loss
+    assert qm.final.truncation_loss == dist0.truncation_loss
+
+
 def test_heating_propagator_exact_mean_growth():
     dist = thermal_distribution(0.3, 60)
     out = heat_distribution(dist, 41.0, 10e-3)

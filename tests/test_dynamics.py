@@ -7,7 +7,9 @@ operators, and the exact thermal red/blue ratio n_bar/(n_bar+1).
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import sbcool.dynamics as dynamics
 from sbcool import (
     FlopResult,
     HeatingChannel,
@@ -30,6 +32,7 @@ from sbcool import (
     thermal_distribution,
     two_level_space,
 )
+from sbcool.dynamics import _generator
 
 ETA = 6.442436053e-03
 F1 = 394.2770864  # eta * 61.2 kHz
@@ -154,6 +157,68 @@ def test_scan_response_top_guard_trips_when_space_too_small():
     response.p_f1(thermal_distribution(0.13, 12).populations)
     with pytest.raises(TruncationError):
         response.p_f1(thermal_distribution(2.0, 12).populations)
+
+
+def test_generator_is_the_literal_lindblad_form():
+    rng = np.random.default_rng(7)
+
+    def rand(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    h = rand((6, 6))
+    h = h + h.conj().T
+    ls = [rand((6, 6)), rand((6, 6))]
+    rho = rand((6, 6))
+    literal = -1j * (h @ rho - rho @ h)
+    for l in ls:
+        ldl = l.conj().T @ l
+        literal += l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+    vec = _generator(h, ls) @ rho.reshape(-1)
+    assert np.max(np.abs(vec.reshape(6, 6) - literal)) < 1e-12 * np.abs(literal).max()
+
+
+class _Integrated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("model, n_max, keep_carrier, entries", [
+    ("effective", 25, False, 102),
+    ("full_dressed", 10, False, 170),
+    ("effective", 12, True, 26 ** 2),
+    ("full_dressed", 4, True, 20 ** 2),
+])
+def test_integrates_only_entries_reachable_from_rho0(
+        monkeypatch, model, n_max, keep_carrier, entries):
+    # A diagonal rho0 stays in the block of equal excitation number on both
+    # sides; with the carrier kept that number is not conserved.
+    sizes = []
+
+    def spy(fun, t_span, y0, **kwargs):
+        sizes.append(y0.size)
+        raise _Integrated
+
+    monkeypatch.setattr(dynamics, "solve_ivp", spy)
+    probe = SidebandProbe(sideband="red", model=model, keep_carrier=keep_carrier)
+    with pytest.raises(_Integrated):
+        simulate_flop(probe, [0.0, 1e-3], 0.13, heating=HeatingChannel(41.0), n_max=n_max)
+    assert sizes == [entries]
+
+
+def test_restricted_flop_matches_full_generator():
+    probe = resonant_probe("blue", "full_dressed")
+    space = probe.space(6)
+    model = LindbladModel(probe.hamiltonian(space, probe.resonance_hz()),
+                          tuple(heating_collapse_ops(HeatingChannel(300.0), space)))
+    rho0 = thermal_density(0.13, space)
+    times = np.linspace(0.0, 2e-3, 9)
+    states = evolve_lindblad(model, rho0, times)
+    gen = _generator(model.hamiltonian.matrix, [op.matrix for op in model.collapse_ops])
+    full = solve_ivp(lambda _t, y: gen @ y, (0.0, times[-1]),
+                     rho0.matrix.astype(complex).reshape(-1), method="RK45",
+                     t_eval=times, rtol=1e-8, atol=1e-11)
+    assert full.success
+    for state, y in zip(states, full.y.T):
+        assert np.max(np.abs(state.matrix - y.reshape(space.dim, space.dim))) < 1e-7
 
 
 def test_heating_collapse_ops_scaling():
