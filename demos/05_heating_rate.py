@@ -14,6 +14,7 @@ from sbcool import (
     build_schedule,
     fit_heating_rate,
     fit_nbar_spectra,
+    fock_cutoff_for_dynamics,
     heat_distribution,
     mean_phonon,
     simulate_cooling,
@@ -37,21 +38,20 @@ print(f"cooled to nbar = {mean_phonon(cooled):.4f}")
 
 # cut the long cooling-output support down to scan size (loss is recorded);
 # pad past the heating diffusion so the truncation guard stays meaningful
-n_support = max(20, int(np.ceil(20 * (mean_phonon(cooled)
-                                      + ndot_true * max(delays) + 1))))
+n_support = fock_cutoff_for_dynamics(mean_phonon(cooled), ndot_true, max(delays))
 sigma = np.sqrt(ndot_true * max(delays) * (2 * n_support + 1))
 base = _trimmed(cooled, n_support, pad=8 + int(np.ceil(2 * sigma)))
 
 span, points = 4e3, 31
 nbars, errs = [], []
 for delay in delays:
-    dist = heat_distribution(base, ndot_true, delay) if delay else base
+    dist = heat_distribution(base, ndot_true, delay)
     scans = {}
     for sideband in ("red", "blue"):
-        center = -cfg.nu_z_hz if sideband == "red" else cfg.nu_z_hz
+        probe = cfg.probe(sideband)
+        center = probe.resonance_hz()
         grid = np.linspace(center - span / 2, center + span / 2, points)
-        scans[sideband] = simulate_scan(cfg.probe(sideband), grid,
-                                        cfg.probe_time_s, dist,
+        scans[sideband] = simulate_scan(probe, grid, cfg.probe_time_s, dist,
                                         cfg=cfg.integrator())
     fit = fit_nbar_spectra(scans["red"], scans["blue"], cfg.nu_z_hz, f1 / eta,
                            cfg.dressing_rabi_hz, cfg.probe_time_s, eta)

@@ -25,7 +25,6 @@ from .cooling import (
     simulate_cooling_quantum,
 )
 from .dynamics import (
-    FlopResult,
     HeatingChannel,
     IntegratorConfig,
     LindbladModel,
@@ -51,7 +50,6 @@ from .ion import (
     EFFECTIVE_LABELS,
     SPIN_LABELS,
     DriveField,
-    IonLevels,
     PhysicalConstants,
     TrapParams,
     build_dressed_rf_hamiltonian,
@@ -107,17 +105,17 @@ __all__ = [
     "schedule_from_rows", "schedule_to_rows", "schedule_total_time",
     "simulate_cooling", "simulate_cooling_quantum",
     # dynamics
-    "FlopResult", "HeatingChannel", "IntegratorConfig", "LindbladModel",
-    "ScanResponse", "ScanResult", "SidebandProbe", "evolve_lindblad",
-    "evolve_unitary", "fock_cutoff_for_dynamics", "heating_collapse_ops",
-    "scan_response", "simulate_flop", "simulate_scan",
+    "HeatingChannel", "IntegratorConfig", "LindbladModel", "ScanResponse",
+    "ScanResult", "SidebandProbe", "evolve_lindblad", "evolve_unitary",
+    "fock_cutoff_for_dynamics", "heating_collapse_ops", "scan_response",
+    "simulate_flop", "simulate_scan",
     # errors
     "ConfigError", "DataFormatError", "FitError", "IntegrationError",
     "TruncationError",
     # ion
-    "EFFECTIVE_LABELS", "SPIN_LABELS", "DriveField", "IonLevels",
-    "PhysicalConstants", "TrapParams", "build_dressed_rf_hamiltonian",
-    "dressed_states", "effective_two_level_hamiltonian", "four_level_space",
+    "EFFECTIVE_LABELS", "SPIN_LABELS", "DriveField", "PhysicalConstants",
+    "TrapParams", "build_dressed_rf_hamiltonian", "dressed_states",
+    "effective_two_level_hamiltonian", "four_level_space",
     "ground_state_extent", "lamb_dicke_eff", "sideband_rabi",
     "two_level_space",
     # qcore

@@ -9,6 +9,7 @@ for a fixed config + seed, manifests carry the only timestamp.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .cooling import (
     schedule_total_time,
     simulate_cooling,
 )
-from .dynamics import HeatingChannel, ScanResult, FlopResult, simulate_flop, simulate_scan
+from .dynamics import ScanResult, fock_cutoff_for_dynamics, simulate_flop, simulate_scan
 from .errors import ConfigError, DataFormatError, FitError, IntegrationError, TruncationError
 from .ion import ground_state_extent, lamb_dicke_eff, sideband_rabi
 from .qcore import FockDistribution, mean_phonon, thermal_distribution, thermal_fock_cutoff
@@ -38,6 +39,7 @@ from .runio import (
     write_manifest,
 )
 from .thermometry import (
+    FitResult,
     doppler_limit,
     fit_heating_rate,
     fit_nbar_flop,
@@ -117,19 +119,17 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scan_grid(cfg: ExperimentConfig, args: argparse.Namespace) -> np.ndarray:
-    center = args.center
-    if center is None:
-        center = -cfg.nu_z_hz if args.sideband == "red" else cfg.nu_z_hz
-    if args.span <= 0 or args.points < 2:
+def _scan_grid(center: float, span: float, points: int) -> np.ndarray:
+    if span <= 0 or points < 2:
         raise ConfigError("span must be > 0 and points >= 2")
-    return np.linspace(center - args.span / 2.0, center + args.span / 2.0, args.points)
+    return np.linspace(center - span / 2.0, center + span / 2.0, points)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    detunings = _scan_grid(cfg, args)
     probe = cfg.probe(args.sideband, model=args.model)
+    center = args.center if args.center is not None else probe.resonance_hz()
+    detunings = _scan_grid(center, args.span, args.points)
     t_probe = args.probe_time if args.probe_time is not None else cfg.probe_time_s
     heating = cfg.heating() if args.probe_heating else None
     result = simulate_scan(probe, detunings, t_probe, args.nbar,
@@ -186,44 +186,60 @@ def cmd_cool(args: argparse.Namespace) -> int:
     return 0
 
 
-def _heatrate_loop(cfg: ExperimentConfig, delays: list[float],
-                   probe_heating: bool) -> tuple[list[tuple], object]:
-    """Cool once, heat for each delay, scan both sidebands, fit each pair."""
+def _fit_pair(cfg: ExperimentConfig, red: ScanResult, blue: ScanResult,
+              forward: str) -> FitResult:
+    """Thermal nbar of a red/blue sideband scan pair taken with cfg's probe."""
+    eta = cfg.eta_eff()
+    return fit_nbar_spectra(red, blue, cfg.nu_z_hz, cfg.sideband_rabi_1_hz() / eta,
+                            cfg.dressing_rabi_hz, cfg.probe_time_s, eta, forward=forward)
+
+
+def _fit_rate(delays, nbars, errors) -> FitResult:
+    """Line through nbar(delay), weighted unless an error is zero."""
+    use_err = all(e > 0 for e in errors)
+    return fit_heating_rate(delays, nbars, errors if use_err else None)
+
+
+def _read_out(cfg: ExperimentConfig, delays: list[float],
+              probe_heating: bool) -> tuple[FockDistribution, list[tuple]]:
+    """Cool once; for each delay heat, scan both sidebands and fit the pair.
+
+    Returns the cooled distribution and one (delay, {sideband: scan}, fit)
+    per delay.
+    """
     schedule = build_schedule(cfg.n_start, cfg.sideband_rabi_1_hz(), cfg.repump())
     dist0 = thermal_distribution(cfg.doppler_nbar, thermal_fock_cutoff(cfg.doppler_nbar))
     cooled = simulate_cooling(dist0, schedule, cfg.heating(), cfg.repump()).final
 
     ndot = cfg.heating_rate_per_s
     max_delay = max(delays)
-    n_support = max(20, int(np.ceil(20.0 * (mean_phonon(cooled)
-                                            + ndot * max_delay + 1.0))))
+    n_support = fock_cutoff_for_dynamics(mean_phonon(cooled), ndot, max_delay)
     # the residual cooling tail diffuses by sigma = sqrt(ndot t (2n+1)) during
     # the delay; pad past 2 sigma so the top-level guard sees real spillover
-    sigma = np.sqrt(max(ndot * max_delay, 0.0) * (2 * n_support + 1))
-    base = _trimmed(cooled, n_support, pad=8 + int(np.ceil(2.0 * sigma)))
+    sigma = math.sqrt(max(ndot * max_delay, 0.0) * (2 * n_support + 1))
+    base = _trimmed(cooled, n_support, pad=8 + math.ceil(2.0 * sigma))
 
-    eta = cfg.eta_eff()
-    omega_eff = cfg.sideband_rabi_1_hz() / eta
-    span, points = 4000.0, 41
-    rows = []
+    heating = cfg.heating() if probe_heating else None
+    readouts = []
     for delay in delays:
-        dist = heat_distribution(base, ndot, delay) if delay > 0 else base
-        heating = cfg.heating() if probe_heating else None
+        dist = heat_distribution(base, ndot, delay)
         scans = {}
         for sideband in ("red", "blue"):
             probe = cfg.probe(sideband)
-            center = -cfg.nu_z_hz if sideband == "red" else cfg.nu_z_hz
-            grid = np.linspace(center - span / 2.0, center + span / 2.0, points)
+            grid = _scan_grid(probe.resonance_hz(), 4000.0, 41)
             scans[sideband] = simulate_scan(probe, grid, cfg.probe_time_s, dist,
                                             heating=heating, cfg=cfg.integrator())
-        fit = fit_nbar_spectra(scans["red"], scans["blue"], cfg.nu_z_hz, omega_eff,
-                               cfg.dressing_rabi_hz, cfg.probe_time_s, eta)
-        rows.append((delay, fit.value, fit.std_error))
-    errors = [r[2] for r in rows]
-    use_err = all(e > 0 for e in errors)
-    rate = fit_heating_rate([r[0] for r in rows], [r[1] for r in rows],
-                            errors if use_err else None)
-    return rows, rate
+        fit = _fit_pair(cfg, scans["red"], scans["blue"], "analytic")
+        readouts.append((delay, scans, fit))
+    return cooled, readouts
+
+
+def _heatrate(cfg: ExperimentConfig, delays: list[float],
+              probe_heating: bool) -> tuple[list[tuple], FitResult]:
+    """Heating-rate rows (delay, nbar, nbar_err) and the line through them."""
+    _, readouts = _read_out(cfg, delays, probe_heating)
+    rows = [(delay, fit.value, fit.std_error) for delay, _, fit in readouts]
+    return rows, _fit_rate(*zip(*rows))
 
 
 def cmd_heatrate(args: argparse.Namespace) -> int:
@@ -231,7 +247,7 @@ def cmd_heatrate(args: argparse.Namespace) -> int:
     delays = sorted(float(d) for d in args.delays.split(","))
     if len(delays) < 2:
         raise ConfigError("need at least two delays")
-    rows, rate = _heatrate_loop(cfg, delays, args.probe_heating)
+    rows, rate = _heatrate(cfg, delays, args.probe_heating)
     for delay, nbar, err in rows:
         print(f"delay {delay * 1e3:8.3f} ms: nbar = {nbar:.4f} +- {err:.4f}")
     print(f"heating rate = {rate.value:.2f} +- {rate.std_error:.2f} quanta/s")
@@ -244,8 +260,6 @@ def cmd_heatrate(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    eta = cfg.eta_eff()
-    omega_eff = cfg.sideband_rabi_1_hz() / eta
     if args.mode == "spectra":
         if len(args.files) != 2:
             raise ConfigError("spectra mode needs two files: red.csv blue.csv")
@@ -253,25 +267,20 @@ def cmd_fit(args: argparse.Namespace) -> int:
         blue_cols = read_csv(args.files[1], SCAN_HEADER)
         red = ScanResult(red_cols["detuning_hz"], red_cols["p_f1"])
         blue = ScanResult(blue_cols["detuning_hz"], blue_cols["p_f1"])
-        fit = fit_nbar_spectra(red, blue, cfg.nu_z_hz, omega_eff,
-                               cfg.dressing_rabi_hz, cfg.probe_time_s, eta,
-                               forward=args.forward)
+        fit = _fit_pair(cfg, red, blue, args.forward)
         label = "nbar"
     elif args.mode == "flop":
         if len(args.files) != 1:
             raise ConfigError("flop mode needs one file")
         cols = read_csv(args.files[0], FLOP_HEADER)
-        flop = FlopResult(cols["time_s"], cols["p_f1"])
+        flop = ScanResult(cols["time_s"], cols["p_f1"])
         fit = fit_nbar_flop(flop, cfg.sideband_rabi_1_hz())
         label = "nbar"
     elif args.mode == "heatrate":
         if len(args.files) != 1:
             raise ConfigError("heatrate mode needs one file")
         cols = read_csv(args.files[0], HEATRATE_HEADER)
-        errors = cols["nbar_err"]
-        use_err = bool(np.all(errors > 0))
-        fit = fit_heating_rate(cols["delay_s"], cols["nbar"],
-                               errors if use_err else None)
+        fit = _fit_rate(cols["delay_s"], cols["nbar"], cols["nbar_err"])
         label = "ndot_per_s"
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown mode {args.mode!r}")
@@ -285,28 +294,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _repro_fig1(args: argparse.Namespace, cfg: ExperimentConfig,
                 outdir: Path) -> None:
     """Sideband spectra of the cooled ion plus the thermal fit."""
-    schedule = build_schedule(cfg.n_start, cfg.sideband_rabi_1_hz(), cfg.repump())
-    dist0 = thermal_distribution(cfg.doppler_nbar, thermal_fock_cutoff(cfg.doppler_nbar))
-    cooled = simulate_cooling(dist0, schedule, cfg.heating(), cfg.repump()).final
-    n_max = max(20, int(np.ceil(20.0 * (mean_phonon(cooled) + 1.0))))
-    dist = _trimmed(cooled, n_max)
-
-    span, points = 4000.0, 41
-    scans = {}
-    for sideband in ("red", "blue"):
-        probe = cfg.probe(sideband)
-        center = -cfg.nu_z_hz if sideband == "red" else cfg.nu_z_hz
-        grid = np.linspace(center - span / 2.0, center + span / 2.0, points)
-        scans[sideband] = simulate_scan(probe, grid, cfg.probe_time_s, dist,
-                                        cfg=cfg.integrator())
+    cooled, [(_, scans, fit)] = _read_out(cfg, [0.0], probe_heating=False)
+    for sideband, scan in scans.items():
         out = outdir / f"scan_{sideband}.csv"
-        rows = [(d, p, 0) for d, p in zip(scans[sideband].x, scans[sideband].p_f1)]
-        write_csv(out, SCAN_HEADER, rows)
+        write_csv(out, SCAN_HEADER, [(d, p, 0) for d, p in zip(scan.x, scan.p_f1)])
         _manifest(out, args, cfg)
-    eta = cfg.eta_eff()
-    fit = fit_nbar_spectra(scans["red"], scans["blue"], cfg.nu_z_hz,
-                           cfg.sideband_rabi_1_hz() / eta, cfg.dressing_rabi_hz,
-                           cfg.probe_time_s, eta)
     out = outdir / "fit_report.csv"
     write_csv(out, FIT_HEADER, [(fit.value, fit.std_error, fit.residual_norm,
                                  fit.n_evaluations)])
@@ -317,8 +309,7 @@ def _repro_fig1(args: argparse.Namespace, cfg: ExperimentConfig,
 def _repro_fig2(args: argparse.Namespace, cfg: ExperimentConfig,
                 outdir: Path) -> None:
     """Heating-rate pipeline: cooled, delayed, scanned, fitted."""
-    delays = [0.0, 5e-3, 10e-3]
-    rows, rate = _heatrate_loop(cfg, delays, probe_heating=False)
+    rows, rate = _heatrate(cfg, [0.0, 5e-3, 10e-3], probe_heating=False)
     out = outdir / "heatrate.csv"
     write_csv(out, HEATRATE_HEADER, rows)
     _manifest(out, args, cfg)

@@ -17,7 +17,7 @@ from pathlib import Path
 from .cooling import RepumpModel
 from .dynamics import HeatingChannel, IntegratorConfig, SidebandProbe
 from .errors import ConfigError
-from .ion import IonLevels, TrapParams
+from .ion import TrapParams
 
 __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "CONFIG_ENV_VAR"]
 
@@ -31,9 +31,6 @@ class ExperimentConfig:
     mass_amu: float = 171.0
     nu_z_hz: float = 426.7e3
     gradient_t_m: float = 23.6
-    b_offset_gauss: float = 10.5
-    zeeman_splitting_hz: float = 14.6e6
-    second_order_splitting_hz: float = 34e3
     carrier_rabi_hz: float = 61.2e3
     dressing_rabi_hz: float = 32e3
     sideband_rabi_hz: float = 0.0  # 0 = derive eta_eff * carrier_rabi
@@ -54,16 +51,14 @@ class ExperimentConfig:
     integrator_max_step_s: float = 0.0  # 0 = unbounded
 
     def __post_init__(self) -> None:
-        positive = ("mass_amu", "nu_z_hz", "zeeman_splitting_hz", "carrier_rabi_hz",
-                    "probe_time_s", "doppler_linewidth_hz", "integrator_rel_tol",
-                    "integrator_abs_tol")
+        positive = ("mass_amu", "nu_z_hz", "carrier_rabi_hz", "probe_time_s",
+                    "doppler_linewidth_hz", "integrator_rel_tol", "integrator_abs_tol")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        nonneg = ("gradient_t_m", "second_order_splitting_hz", "dressing_rabi_hz",
-                  "sideband_rabi_hz", "heating_rate_per_s", "doppler_nbar",
-                  "repump_pi_time_s", "repump_pump_time_s", "recoil_quanta",
-                  "integrator_max_step_s")
+        nonneg = ("gradient_t_m", "dressing_rabi_hz", "sideband_rabi_hz",
+                  "heating_rate_per_s", "doppler_nbar", "repump_pi_time_s",
+                  "repump_pump_time_s", "recoil_quanta", "integrator_max_step_s")
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -83,11 +78,7 @@ class ExperimentConfig:
     # -- constructors for the physics objects -------------------------------
 
     def trap(self) -> TrapParams:
-        return TrapParams(self.mass_amu, self.nu_z_hz, self.gradient_t_m,
-                          self.b_offset_gauss)
-
-    def levels(self) -> IonLevels:
-        return IonLevels(self.zeeman_splitting_hz, self.second_order_splitting_hz)
+        return TrapParams(self.mass_amu, self.nu_z_hz, self.gradient_t_m)
 
     def eta_eff(self) -> float:
         from .ion import lamb_dicke_eff
@@ -102,8 +93,7 @@ class ExperimentConfig:
     def probe(self, sideband: str, model: str = "effective",
               keep_carrier: bool = False) -> SidebandProbe:
         return SidebandProbe(
-            trap=self.trap(), levels=self.levels(),
-            carrier_rabi_hz=self.carrier_rabi_hz,
+            trap=self.trap(), carrier_rabi_hz=self.carrier_rabi_hz,
             dressing_rabi_hz=self.dressing_rabi_hz,
             sideband=sideband, sideband_rabi_hz=self.sideband_rabi_hz,
             model=model, keep_carrier=keep_carrier)

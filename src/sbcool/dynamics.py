@@ -28,7 +28,6 @@ from scipy.sparse.csgraph import connected_components
 from .errors import IntegrationError, TruncationError
 from .ion import (
     DriveField,
-    IonLevels,
     TrapParams,
     build_dressed_rf_hamiltonian,
     effective_two_level_hamiltonian,
@@ -44,6 +43,7 @@ from .qcore import (
     distribution_density,
     identity_op,
     lowering_op,
+    mean_phonon,
     motional_populations,
     tensor,
     thermal_distribution,
@@ -53,7 +53,6 @@ __all__ = [
     "HeatingChannel",
     "IntegratorConfig",
     "LindbladModel",
-    "FlopResult",
     "ScanResponse",
     "ScanResult",
     "SidebandProbe",
@@ -61,7 +60,6 @@ __all__ = [
     "evolve_lindblad",
     "evolve_unitary",
     "fock_cutoff_for_dynamics",
-    "f1_projector",
     "scan_response",
     "simulate_flop",
     "simulate_scan",
@@ -318,39 +316,25 @@ def _check_top_level(state: DensityMatrix) -> None:
     _check_top(float(motional_populations(state)[-1]))
 
 
-def f1_projector(space: ProductSpace) -> Operator:
-    """Readout observable: probability NOT in |0'>.
+def _dark_rows(space: ProductSpace) -> slice:
+    """Indices of the |0'> rows: the dark outcome of the F=1 readout."""
+    first = space.index("0'", 0)
+    return slice(first, first + space.fock.dim)
+
+
+def _p_f1(state: DensityMatrix) -> float:
+    """P(F=1) = 1 - P(|0'>): the diagonal outside the |0'> rows.
 
     Ideal detection maps |0'> to the dark outcome and every other internal
-    level to the bright (F=1) outcome, so P(F=1) = 1 - P(|0'>).
+    level to the bright (F=1) outcome.
     """
-    eye = np.eye(space.dim, dtype=complex)
-    idx0 = space.spin.index("0'")
-    fd = space.fock.dim
-    proj_dark = np.zeros((space.dim, space.dim), dtype=complex)
-    sl = slice(idx0 * fd, (idx0 + 1) * fd)
-    proj_dark[sl, sl] = np.eye(fd)
-    return Operator(space, eye - proj_dark)
-
-
-@dataclass(frozen=True)
-class FlopResult:
-    """Time series of the F=1 population."""
-
-    x: np.ndarray
-    p_f1: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        p = np.asarray(self.p_f1, dtype=float)
-        _validate_series(x, p, "time")
-        object.__setattr__(self, "x", _freeze(x))
-        object.__setattr__(self, "p_f1", _freeze(np.clip(p, 0.0, 1.0)))
+    return float(np.delete(state.populations(), _dark_rows(state.space)).sum())
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """F=1 population versus probe detuning from the carrier (Hz)."""
+    """F=1 population versus x: the probe duration (s) of a flop or the
+    probe detuning from the carrier (Hz) of a spectrum."""
 
     x: np.ndarray
     p_f1: np.ndarray
@@ -358,23 +342,17 @@ class ScanResult:
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
         p = np.asarray(self.p_f1, dtype=float)
-        _validate_series(x, p, "detuning")
-        object.__setattr__(self, "x", _freeze(x))
-        object.__setattr__(self, "p_f1", _freeze(np.clip(p, 0.0, 1.0)))
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _validate_series(x: np.ndarray, p: np.ndarray, what: str) -> None:
-    if x.ndim != 1 or p.shape != x.shape:
-        raise ValueError("x and p_f1 must be matching 1-D arrays")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError(f"{what} grid must be strictly increasing")
-    if p.min() < -1e-7 or p.max() > 1.0 + 1e-7:
-        raise ValueError(f"probabilities outside [0, 1]: [{p.min()}, {p.max()}]")
+        if x.ndim != 1 or p.shape != x.shape:
+            raise ValueError("x and p_f1 must be matching 1-D arrays")
+        if np.any(np.diff(x) <= 0):
+            raise ValueError("x grid must be strictly increasing")
+        if p.min() < -1e-7 or p.max() > 1.0 + 1e-7:
+            raise ValueError(f"probabilities outside [0, 1]: [{p.min()}, {p.max()}]")
+        p = np.clip(p, 0.0, 1.0)
+        x.setflags(write=False)
+        p.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "p_f1", p)
 
 
 @dataclass(frozen=True)
@@ -387,7 +365,6 @@ class SidebandProbe:
     """
 
     trap: TrapParams = TrapParams()
-    levels: IonLevels = IonLevels()
     carrier_rabi_hz: float = 61.2e3
     dressing_rabi_hz: float = 32e3
     sideband: Literal["red", "blue"] = "red"
@@ -440,7 +417,7 @@ class SidebandProbe:
         probe = DriveField("rf_probe", self.effective_carrier_rabi_hz,
                            detuning_hz=detuning_hz, target_transition=("0'", "+1"))
         return build_dressed_rf_hamiltonian(
-            self.trap, self.levels, dressing, probe, space,
+            self.trap, dressing, probe, space,
             sideband=self.sideband, keep_carrier=self.keep_carrier)
 
     def space(self, n_max: int) -> ProductSpace:
@@ -468,18 +445,10 @@ def _initial_distribution(initial: InitialState, n_max: int) -> FockDistribution
 
 
 def _pick_n_max(initial: InitialState, n_dot: float, t_max: float) -> int:
-    n_bar0 = mean_of_initial(initial)
-    n_max = fock_cutoff_for_dynamics(n_bar0, n_dot, t_max)
     if isinstance(initial, FockDistribution):
-        n_max = max(n_max, initial.n_max)
-    return n_max
-
-
-def mean_of_initial(initial: InitialState) -> float:
-    if isinstance(initial, FockDistribution):
-        p = initial.populations
-        return float(np.dot(np.arange(p.size), p))
-    return float(initial)
+        return max(fock_cutoff_for_dynamics(mean_phonon(initial), n_dot, t_max),
+                   initial.n_max)
+    return fock_cutoff_for_dynamics(float(initial), n_dot, t_max)
 
 
 def simulate_flop(
@@ -489,7 +458,7 @@ def simulate_flop(
     heating: HeatingChannel | None = None,
     cfg: IntegratorConfig = IntegratorConfig(),
     n_max: int | None = None,
-) -> FlopResult:
+) -> ScanResult:
     """Resonant sideband flop: P(F=1) versus probe duration.
 
     The probe sits exactly on the addressed sideband; the initial state is
@@ -507,9 +476,7 @@ def simulate_flop(
     model = LindbladModel(h, _heating_ops(heating, space))
     states = evolve_lindblad(model, rho0, t, cfg)
     _check_top_level(states[-1])
-    proj = f1_projector(space)
-    p = np.array([float(np.real(np.sum(proj.matrix.T * s.matrix))) for s in states])
-    return FlopResult(t, p)
+    return ScanResult(t, np.array([_p_f1(s) for s in states]))
 
 
 def _heating_ops(heating: HeatingChannel | None, space) -> tuple[Operator, ...]:
@@ -519,15 +486,11 @@ def _heating_ops(heating: HeatingChannel | None, space) -> tuple[Operator, ...]:
 
 
 def _scan_point(args) -> float:
-    probe, delta_hz, t_probe, rho0_mat, space, collapse_mats, cfg = args
-    h = probe.hamiltonian(space, delta_hz)
-    collapse = tuple(Operator(space, m) for m in collapse_mats)
-    model = LindbladModel(h, collapse)
-    rho0 = DensityMatrix(space, rho0_mat)
+    probe, delta_hz, t_probe, rho0, collapse, cfg = args
+    model = LindbladModel(probe.hamiltonian(rho0.space, delta_hz), collapse)
     state = evolve_lindblad(model, rho0, [t_probe], cfg)[-1]
     _check_top_level(state)
-    proj = f1_projector(space)
-    return float(np.real(np.sum(proj.matrix.T * state.matrix)))
+    return _p_f1(state)
 
 
 def _scan_grid(detunings_hz: Sequence[float], t_probe_s: float) -> np.ndarray:
@@ -563,10 +526,9 @@ def simulate_scan(
     space = probe.space(n_max)
     dist0 = _initial_distribution(initial, n_max)
     rho0 = distribution_density(dist0, space, "0'")
-    collapse_mats = [op.matrix for op in _heating_ops(heating, space)]
+    collapse = _heating_ops(heating, space)
 
-    tasks = [(probe, float(d), float(t_probe_s), rho0.matrix, space, collapse_mats, cfg)
-             for d in deltas]
+    tasks = [(probe, float(d), float(t_probe_s), rho0, collapse, cfg) for d in deltas]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             p = list(pool.map(_scan_point, tasks))
@@ -616,8 +578,7 @@ def scan_response(
     deltas = _scan_grid(detunings_hz, t_probe_s)
     space = probe.space(n_max)
     fd = space.fock.dim
-    first = space.index("0'", 0)
-    rows = slice(first, first + fd)
+    rows = _dark_rows(space)
     dark = np.zeros(space.dim)
     dark[rows] = 1.0
     top = np.zeros(space.dim)

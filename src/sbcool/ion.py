@@ -53,7 +53,6 @@ __all__ = [
     "PhysicalConstants",
     "CODATA",
     "TrapParams",
-    "IonLevels",
     "DriveField",
     "SPIN_LABELS",
     "EFFECTIVE_LABELS",
@@ -99,14 +98,14 @@ class TrapParams:
     mass_amu        ion mass in atomic mass units (171 for Yb+)
     nu_z_hz         axial secular frequency, cyclic (Hz)
     gradient_t_m    magnetic-field gradient along z (T/m)
-    b_offset_gauss  static offset field (G); bookkeeping only, the offset
-                    enters through the level splittings in IonLevels
+
+    The static offset field only sets lab-frame transition frequencies, which
+    the rotating-frame Hamiltonians never see, so it is not a parameter.
     """
 
     mass_amu: float = 171.0
     nu_z_hz: float = 426.7e3
     gradient_t_m: float = 23.6
-    b_offset_gauss: float = 10.5
 
     def __post_init__(self) -> None:
         if self.mass_amu <= 0:
@@ -124,27 +123,6 @@ class TrapParams:
     def omega_z(self) -> float:
         """Angular secular frequency (rad/s)."""
         return 2.0 * math.pi * self.nu_z_hz
-
-
-@dataclass(frozen=True)
-class IonLevels:
-    """Internal-level splittings of the ground hyperfine manifold.
-
-    zeeman_splitting_hz          |0'> <-> |+1> transition frequency (Hz)
-    second_order_splitting_hz    offset separating the |0'> <-> |-1| transition
-                                 from the |0'> <-> |+1> one (Hz)
-    labels                       spin-basis labels, fixed ordering
-    """
-
-    zeeman_splitting_hz: float = 14.6e6
-    second_order_splitting_hz: float = 34e3
-    labels: tuple[str, ...] = SPIN_LABELS
-
-    def __post_init__(self) -> None:
-        if self.zeeman_splitting_hz <= 0:
-            raise ValueError("zeeman_splitting_hz must be > 0")
-        if tuple(self.labels) != SPIN_LABELS:
-            raise ValueError(f"labels must be {SPIN_LABELS}")
 
 
 @dataclass(frozen=True)
@@ -214,13 +192,13 @@ def sideband_rabi(n: int, sideband: Sideband, eta: float, omega_hz: float) -> fl
     raise ValueError(f"sideband must be 'red' or 'blue', got {sideband!r}")
 
 
-def dressed_states(levels: IonLevels) -> dict[str, np.ndarray]:
+def dressed_states() -> dict[str, np.ndarray]:
     """Eigenvectors of the symmetric dressing coupling, as kets over SPIN_LABELS.
 
     |D>    = (|+1> - |-1>)/sqrt(2)          eigenvalue 0
     |u/d>  = (|0> +- (|+1>+|-1>)/sqrt(2))/sqrt(2)   eigenvalues +-Omega_dr/sqrt(2)
     """
-    spin = SpinBasis(levels.labels)
+    spin = SpinBasis(SPIN_LABELS)
     d = np.zeros(spin.dim)
     d[spin.index("+1")] = 1.0 / math.sqrt(2.0)
     d[spin.index("-1")] = -1.0 / math.sqrt(2.0)
@@ -246,7 +224,6 @@ def _transition_matrix(spin: SpinBasis, upper: str, lower: str) -> np.ndarray:
 
 def build_dressed_rf_hamiltonian(
     tp: TrapParams,
-    levels: IonLevels,
     dressing: tuple[DriveField, DriveField],
     probe: DriveField,
     space: ProductSpace,

@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import ScanResponse, SidebandProbe, fock_cutoff_for_dynamics, scan_response
 from .errors import FitError
 from .ion import CODATA, PhysicalConstants, TrapParams
-from .qcore import FockDistribution, thermal_distribution, thermal_fock_cutoff
+from .qcore import FockDistribution, thermal_distribution
 
 __all__ = [
     "SidebandRatio",
@@ -67,7 +67,8 @@ class FitResult:
 
 
 def _auto_n_max(n_bar: float) -> int:
-    return max(thermal_fock_cutoff(n_bar, 1e-6), int(math.ceil(20.0 * (n_bar + 1.0))))
+    """20 (n_bar + 1) levels; the thermal tail beyond them is below e^-20."""
+    return int(math.ceil(20.0 * (n_bar + 1.0)))
 
 
 def _populations(state: float | FockDistribution, n_max: int | None) -> np.ndarray:

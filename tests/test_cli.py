@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sbcool.cli import main
+from sbcool.cli import FIT_HEADER, RATE_HEADER, main
 from sbcool.runio import FLOP_HEADER, HEATRATE_HEADER, SCAN_HEADER, read_csv
 
 
@@ -92,6 +92,8 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert run(["constants", "--config", bad]) == 2
     assert "wrong_key" in capsys.readouterr().err
     assert run(["constants", "--set", "nu_z_hz=-2"]) == 2
+    assert run(["constants", "--set", "zeeman_splitting_hz=1"]) == 2
+    assert "unknown key 'zeeman_splitting_hz'" in capsys.readouterr().err
     assert run(["constants", "--set", "nonsense"]) == 2
     assert run(["heatrate", "--delays", "0.005"]) == 2  # needs two delays
 
@@ -151,3 +153,46 @@ def test_repro_fig3_bundle(tmp_path):
     assert blue["p_f1"].max() >= 0.85
     assert red["p_f1"][0] <= 0.15
     assert (outdir / "flop_blue.manifest.json").exists()
+
+
+def _printed(out: str, label: str) -> float:
+    line = next(l for l in out.splitlines() if l.startswith(f"{label} = "))
+    return float(line.split("=")[1])
+
+
+def _assert_manifests(outdir):
+    csvs = sorted(outdir.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert path.with_suffix(".manifest.json").exists(), path.name
+
+
+SMALL_COOL = ["--set", "n_start=40", "--set", "doppler_nbar=6"]
+
+
+def test_repro_fig1_bundle(tmp_path, capsys):
+    outdir = tmp_path / "fig1"
+    assert run(["repro", "fig1", "--outdir", outdir, *SMALL_COOL]) == 0
+    _assert_manifests(outdir)
+    for sideband in ("red", "blue"):
+        cols = read_csv(outdir / f"scan_{sideband}.csv", SCAN_HEADER)
+        assert cols["detuning_hz"].size == 41
+        assert np.all(cols["shots"] == 0)
+    report = read_csv(outdir / "fit_report.csv", FIT_HEADER)
+    capsys.readouterr()
+    assert run(["fit", outdir / "scan_red.csv", outdir / "scan_blue.csv",
+                "--mode", "spectra"]) == 0
+    nbar = _printed(capsys.readouterr().out, "nbar")
+    assert nbar == pytest.approx(report["nbar"][0], rel=1e-5)
+
+
+def test_repro_fig2_bundle(tmp_path, capsys):
+    outdir = tmp_path / "fig2"
+    assert run(["repro", "fig2", "--outdir", outdir, *SMALL_COOL]) == 0
+    _assert_manifests(outdir)
+    report = read_csv(outdir / "rate_report.csv", RATE_HEADER)
+    capsys.readouterr()
+    assert run(["fit", outdir / "heatrate.csv", "--mode", "heatrate"]) == 0
+    rate = _printed(capsys.readouterr().out, "ndot_per_s")
+    assert rate == pytest.approx(report["ndot_per_s"][0], rel=1e-5)
+    assert rate == pytest.approx(41.0, abs=4.0)

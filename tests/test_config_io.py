@@ -2,6 +2,8 @@
 
 import json
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,14 @@ def test_defaults_are_valid_and_frozen():
     assert ExperimentConfig(**d) == cfg
     with pytest.raises(Exception):
         cfg.nu_z_hz = 1.0  # frozen dataclass
+
+
+def test_reference_config_spells_out_the_defaults():
+    # the benchmark reads this file; one stale key would fail every task
+    path = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
+    assert load_config(path) == ExperimentConfig()
+    keys = set(parse_config_text(path.read_text(encoding="utf-8"), source=str(path)))
+    assert keys == {f.name for f in fields(ExperimentConfig)}
 
 
 def test_parse_config_text_happy_path():

@@ -11,7 +11,6 @@ from scipy.integrate import solve_ivp
 
 import sbcool.dynamics as dynamics
 from sbcool import (
-    FlopResult,
     HeatingChannel,
     IntegratorConfig,
     LindbladModel,
@@ -235,10 +234,10 @@ def test_heating_collapse_ops_scaling():
 
 def test_result_containers_validate():
     with pytest.raises(ValueError):
-        FlopResult(np.array([0.0, 0.0]), np.array([0.1, 0.2]))  # not increasing
+        ScanResult(np.array([0.0, 0.0]), np.array([0.1, 0.2]))  # not increasing
     with pytest.raises(ValueError):
         ScanResult(np.array([1.0]), np.array([0.1, 0.2]))  # length mismatch
-    r = FlopResult(np.array([0.0, 1.0]), np.array([-1e-12, 1.0 + 1e-12]))
+    r = ScanResult(np.array([0.0, 1.0]), np.array([-1e-12, 1.0 + 1e-12]))
     assert r.p_f1.min() >= 0.0 and r.p_f1.max() <= 1.0
 
 

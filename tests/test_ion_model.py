@@ -11,7 +11,6 @@ import pytest
 
 from sbcool import (
     DriveField,
-    IonLevels,
     SPIN_LABELS,
     TrapParams,
     build_dressed_rf_hamiltonian,
@@ -65,8 +64,7 @@ def test_sideband_rabi_ladder():
 
 
 def test_dressed_states_structure():
-    levels = IonLevels()
-    kets = dressed_states(levels)
+    kets = dressed_states()
     labels = list(SPIN_LABELS)
     ip, im = labels.index("+1"), labels.index("-1")
     d = kets["D"]
@@ -97,7 +95,7 @@ def _fields(detuning_hz=0.0):
 def test_four_level_hamiltonian_hermitian_and_coupling():
     space = four_level_space(4)
     dressing, probe = _fields()
-    h = build_dressed_rf_hamiltonian(default_trap(), IonLevels(), dressing, probe,
+    h = build_dressed_rf_hamiltonian(default_trap(), dressing, probe,
                                      space, sideband="red")
     assert h.is_hermitian(tol=1e-9)
     m = h.matrix
@@ -111,7 +109,7 @@ def test_four_level_hamiltonian_hermitian_and_coupling():
     assert abs(m[i_up2, i_lo2]) == pytest.approx(1751.72694 * math.sqrt(2), rel=1e-6)
     # dressing block eigenvalues: 0 (twice incl. 0') and +-Omega_dr/sqrt(2)
     dress_block = build_dressed_rf_hamiltonian(
-        default_trap(), IonLevels(), dressing,
+        default_trap(), dressing,
         DriveField("rf_probe", 0.0, -426.7e3, 0.0, ("0'", "+1")),
         four_level_space(1), sideband="red")
     eigs = np.linalg.eigvalsh(dress_block.matrix)
@@ -122,7 +120,7 @@ def test_four_level_hamiltonian_hermitian_and_coupling():
 def test_keep_carrier_frame_contains_trap_term():
     space = four_level_space(3)
     dressing, probe = _fields()
-    h = build_dressed_rf_hamiltonian(default_trap(), IonLevels(), dressing, probe,
+    h = build_dressed_rf_hamiltonian(default_trap(), dressing, probe,
                                      space, keep_carrier=True)
     assert h.is_hermitian(tol=1e-9)
     m = h.matrix

@@ -10,7 +10,6 @@ import pytest
 
 from sbcool import (
     FitError,
-    FlopResult,
     ScanResult,
     SidebandRatio,
     doppler_limit,
@@ -23,6 +22,7 @@ from sbcool import (
     sideband_scan_probability,
     thermal_distribution,
 )
+from sbcool.thermometry import _auto_n_max
 
 F1 = 394.2770864367975
 NU = 426.7e3
@@ -101,7 +101,7 @@ def test_fit_nbar_flop_round_trip():
     times = np.linspace(0.0, 6e-3, 121)
     for nbar in (0.3, 1.2):
         curve = sideband_probability(times, "red", nbar, F1)
-        fit = fit_nbar_flop(FlopResult(times, curve), F1)
+        fit = fit_nbar_flop(ScanResult(times, curve), F1)
         assert fit.value == pytest.approx(nbar, abs=3e-3)
 
 
@@ -158,3 +158,10 @@ def test_fit_reports_nonzero_error_on_noisy_data():
                            T_PROBE, ETA)
     assert fit.std_error > 1e-4
     assert abs(fit.value - 0.13) < 0.06
+
+
+def test_auto_cutoff_leaves_thermal_tail_below_1e6():
+    # the thermal weight beyond level N is q^(N + 1), q = nbar / (nbar + 1)
+    nbars = np.geomspace(1e-3, 300.0, 2001)
+    tails = [(nb / (nb + 1.0)) ** (_auto_n_max(nb) + 1) for nb in nbars]
+    assert max(tails) < 1e-6
