@@ -5,12 +5,19 @@ The heating channel is the infinite-temperature electric-field-noise limit:
 jump operators sqrt(ndot) a' and sqrt(ndot) a with equal rates, which drives
 d<N>/dt = ndot for any state.
 
-Each evolve_lindblad call builds the generator once, as one sparse
-superoperator on the row-major flattened density matrix.  Only the entries in
-the connected components of its sparsity graph that hold rho0's nonzero
-entries are integrated; no term couples them to any other entry, so every
-other entry stays exactly zero.  For the sideband models with a diagonal rho0
-that is the block of equal excitation number on both sides of rho.
+evolve_lindblad takes one of two paths, chosen from its input.  A closed
+system (no nonzero collapse operator) under the adaptive method is propagated
+exactly: H is split into the connected components of its sparsity graph, each
+of which spans an invariant subspace, and diagonalised block by block.  The
+effective model splits into 2x2 blocks, full_dressed into blocks of at most
+4.  keep_carrier gives one block, still exact, where stepping would need
+prohibitively many steps to resolve the trap frequency.  Every other run
+builds the generator once, as one sparse superoperator on the row-major
+flattened density matrix, and integrates only the entries in the connected
+components of its sparsity graph that hold rho0's nonzero entries; no term
+couples them to any other entry, so every other entry stays exactly zero.
+For the sideband models with a diagonal rho0 that is the block of equal
+excitation number on both sides of rho.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from typing import Iterable, Iterator, Literal, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,6 +98,10 @@ class IntegratorConfig:
     max_step_s  step bound; required (> 0) for the fixed-step method
     rel_tol     relative tolerance of the adaptive method
     abs_tol     absolute tolerance of the adaptive method
+
+    With "adaptive", a closed system (no nonzero collapse operator) is
+    propagated exactly by eigendecomposition instead of stepped, so max_step_s,
+    rel_tol and abs_tol apply only to runs with dissipation.
     """
 
     method: str = "adaptive"
@@ -192,13 +203,15 @@ def evolve_lindblad(
     times: Sequence[float],
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> list[DensityMatrix]:
-    """Integrate drho/dt = -i[H, rho] + sum_k D[L_k] rho at the given times.
+    """Evolve drho/dt = -i[H, rho] + sum_k D[L_k] rho to the given times.
 
-    times must be strictly increasing and start at >= 0; integration always
-    starts from t = 0 with rho0.  Output states are validated (Hermitian,
-    unit trace, positive) with tolerances appropriate for integrator output;
-    a state that fails them, or a trace drift beyond 1e-6, raises
-    IntegrationError.
+    times must be strictly increasing and start at >= 0; evolution always
+    starts from t = 0 with rho0.  A closed system (no nonzero collapse
+    operator) under the adaptive method is propagated exactly, block by block
+    of H; anything else is integrated on the reachable entries of the
+    generator.  Output states are validated (Hermitian, unit trace, positive)
+    with tolerances appropriate for integrator output; a state that fails
+    them, or a trace drift beyond 1e-6, raises IntegrationError.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
@@ -208,9 +221,57 @@ def evolve_lindblad(
     if rho0.space.dim != model.space.dim:
         raise ValueError("initial state dimension does not match model")
 
-    dim = model.space.dim
-    gen = _generator(model.hamiltonian.matrix, _nonzero_ops(model.collapse_ops))
-    rho0_vec = np.array(rho0.matrix, dtype=complex).reshape(-1)
+    l_mats = _nonzero_ops(model.collapse_ops)
+    if not l_mats and cfg.method == "adaptive":
+        rhos = _propagate_closed(model.hamiltonian.matrix, rho0.matrix, t)
+    else:
+        rhos = _integrate(model.hamiltonian.matrix, l_mats, rho0.matrix, t, cfg)
+    return _validated(model.space, rhos, t)
+
+
+def _propagate_closed(h_mat: np.ndarray, rho0_mat: np.ndarray,
+                      t: np.ndarray) -> Iterator[np.ndarray]:
+    """rho(t) = V (e^{-i Lambda t} . V' rho0 V . e^{i Lambda t}) V' exactly.
+
+    Each connected component of the sparsity graph of H spans an invariant
+    subspace, so H = V Lambda V' with V block-diagonal over the components.
+    Components of equal size are diagonalised in one batched eigh.  rho0 may
+    carry coherences between components.
+    """
+    _, labels = connected_components(sp.csr_array(h_mat != 0), directed=False)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    evals = np.empty(h_mat.shape[0])
+    blocks = []
+    for size in np.unique(sizes):
+        # idx[k] lists the indices of the k-th component of this size
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        w, v = np.linalg.eigh(h_mat[idx[:, :, None], idx[:, None, :]])
+        evals[idx] = w
+        blocks.append((idx, v))
+
+    def left(mat: np.ndarray, adjoint: bool) -> np.ndarray:
+        """V' @ mat if adjoint else V @ mat, one block of rows at a time."""
+        out = np.empty_like(mat)
+        for idx, v in blocks:
+            out[idx] = (v.conj().swapaxes(1, 2) if adjoint else v) @ mat[idx]
+        return out
+
+    # M V = (V' M')', so both products are left products
+    rho_eig = left(left(rho0_mat.conj().T, True).conj().T, True)
+    for ti in t:
+        phase = np.exp(-1j * evals * ti)
+        rho_t = (phase[:, None] * rho_eig) * phase.conj()
+        yield left(left(rho_t.conj().T, False).conj().T, False)
+
+
+def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray,
+               t: np.ndarray, cfg: IntegratorConfig) -> Iterator[np.ndarray]:
+    """Integrate the generator on the entries reachable from rho0."""
+    dim = h_mat.shape[0]
+    gen = _generator(h_mat, l_mats)
+    rho0_vec = np.array(rho0_mat, dtype=complex).reshape(-1)
     # Integrate only the weakly connected components that hold rho0's
     # nonzero entries: nothing feeds the rest, which stays exactly zero.
     _, labels = connected_components(gen != 0, directed=True, connection="weak")
@@ -246,31 +307,36 @@ def evolve_lindblad(
     if t[0] != 0.0:
         ys = ys[1:]
 
-    states = []
-    for i, y in enumerate(ys):
+    for y in ys:
         rho = np.zeros((dim, dim), dtype=complex)
         rho.flat[keep] = y
+        yield rho
+
+
+def _validated(space, rhos: Iterable[np.ndarray], t: np.ndarray) -> list[DensityMatrix]:
+    """Trace-drift abort, hermitise and state check, shared by both paths."""
+    states = []
+    for ti, rho in zip(t, rhos):
         drift = abs(rho.trace() - 1.0)
         if drift > TRACE_DRIFT_ABORT:
             raise IntegrationError(
-                f"trace drift {drift:.3e} at t={t[i]:.6g} s exceeds {TRACE_DRIFT_ABORT:.0e}")
+                f"trace drift {drift:.3e} at t={ti:.6g} s exceeds {TRACE_DRIFT_ABORT:.0e}")
         rho = (rho + rho.conj().T) / 2.0  # remove roundoff-scale asymmetry only
         try:
-            states.append(DensityMatrix(model.space, rho,
+            states.append(DensityMatrix(space, rho,
                                         herm_tol=1e-10, trace_tol=1e-6, psd_tol=1e-7))
         except ValueError as exc:
             raise IntegrationError(
-                f"integrator output at t={t[i]:.6g} s is not a valid state: {exc}") from exc
+                f"integrator output at t={ti:.6g} s is not a valid state: {exc}") from exc
     return states
 
 
 def evolve_unitary(hamiltonian: Operator, rho0: DensityMatrix,
                    times: Sequence[float]) -> list[DensityMatrix]:
-    """Closed-system evolution by eigendecomposition of a static Hamiltonian.
+    """Closed-system evolution by one dense eigendecomposition of H.
 
-    Cross-check twin of evolve_lindblad with no collapse operators; exact up
-    to the eigensolver, so it also serves keep_carrier studies where the ODE
-    route would need prohibitively many steps.
+    Test oracle for the block-wise exact path that evolve_lindblad takes with
+    no collapse operators; exact up to the eigensolver.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or np.any(t < 0):
@@ -340,8 +406,8 @@ class ScanResult:
     p_f1: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        p = np.asarray(self.p_f1, dtype=float)
+        x = np.array(self.x, dtype=float)  # a copy: the caller's arrays stay writable
+        p = np.array(self.p_f1, dtype=float)
         if x.ndim != 1 or p.shape != x.shape:
             raise ValueError("x and p_f1 must be matching 1-D arrays")
         if np.any(np.diff(x) <= 0):

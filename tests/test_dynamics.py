@@ -7,13 +7,18 @@ operators, and the exact thermal red/blue ratio n_bar/(n_bar+1).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import sbcool.dynamics as dynamics
 from sbcool import (
+    DensityMatrix,
+    FockBasis,
     HeatingChannel,
     IntegratorConfig,
     LindbladModel,
+    Operator,
     ScanResult,
     SidebandProbe,
     TruncationError,
@@ -218,6 +223,106 @@ def test_restricted_flop_matches_full_generator():
     assert full.success
     for state, y in zip(states, full.y.T):
         assert np.max(np.abs(state.matrix - y.reshape(space.dim, space.dim))) < 1e-7
+
+
+@pytest.mark.parametrize("model", ["effective", "full_dressed"])
+@pytest.mark.parametrize("sideband", ["red", "blue"])
+@pytest.mark.parametrize("offset_hz", [0.0, 700.0])
+def test_closed_evolution_matches_full_generator(model, sideband, offset_hz):
+    probe = resonant_probe(sideband, model)
+    space = probe.space(6)
+    h = probe.hamiltonian(space, probe.resonance_hz() + offset_hz)
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi /= np.linalg.norm(psi)
+    # the pure part spreads over the whole space, so rho0 couples every pair
+    # of H blocks
+    rho0 = DensityMatrix(space, 0.5 * thermal_density(0.13, space).matrix
+                         + 0.5 * np.outer(psi, psi.conj()))
+    times = np.linspace(2e-4, 2e-3, 5)
+    states = evolve_lindblad(LindbladModel(h), rho0, times)
+    gen = _generator(h.matrix, [])
+    full = solve_ivp(lambda _t, y: gen @ y, (0.0, times[-1]), rho0.matrix.reshape(-1),
+                     method="RK45", t_eval=times, rtol=1e-8, atol=1e-11)
+    assert full.success
+    for state, y in zip(states, full.y.T):
+        assert np.max(np.abs(state.matrix - y.reshape(space.dim, space.dim))) < 1e-7
+
+
+@pytest.mark.parametrize("model", ["effective", "full_dressed"])
+def test_keep_carrier_matches_dense_eigendecomposition(model):
+    probe = SidebandProbe(sideband="red", model=model, keep_carrier=True)
+    space = probe.space(8)
+    h = probe.hamiltonian(space, probe.resonance_hz())
+    rho0 = thermal_density(0.5, space)
+    times = np.linspace(0.0, 1.27e-3, 5)
+    exact = evolve_lindblad(LindbladModel(h), rho0, times)
+    for a, b in zip(exact, evolve_unitary(h, rho0, times)):
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10
+
+
+@pytest.mark.parametrize("n_dot, method, called", [
+    (0.0, "adaptive", set()),
+    (41.0, "adaptive", {"_generator", "solve_ivp"}),
+    (0.0, "fixed_step_rk4", {"_generator", "_rk4_fixed"}),
+])
+def test_closed_adaptive_runs_are_propagated_exactly(monkeypatch, n_dot, method, called):
+    seen = set()
+    for name in ("_generator", "solve_ivp", "_rk4_fixed"):
+        def spy(*args, _name=name, _real=getattr(dynamics, name), **kwargs):
+            seen.add(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(dynamics, name, spy)
+    space = two_level_space(8)
+    h = effective_two_level_hamiltonian(ETA, 61.2e3, 426.7e3, 426.7e3, space,
+                                        sideband="blue")
+    # rate 0 still passes two (zero) collapse operators
+    model = LindbladModel(h, tuple(heating_collapse_ops(HeatingChannel(n_dot), space)))
+    cfg = (IntegratorConfig() if method == "adaptive"
+           else IntegratorConfig(method=method, max_step_s=5e-6))
+    evolve_lindblad(model, thermal_density(0.13, space), [0.0, 1e-4], cfg)
+    assert seen == called
+
+
+@st.composite
+def _closed_problems(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)
+                 .filter(lambda s: 2 <= sum(s) <= 12))
+    dim = sum(sizes)
+    perm = np.array(draw(st.permutations(range(dim))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for size in sizes:
+        block = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        h[start:start + size, start:start + size] = block + block.conj().T
+        start += size
+    h = h[np.ix_(perm, perm)]
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho0 = a @ a.conj().T + 0.1 * np.eye(dim)
+    return h, rho0 / np.trace(rho0).real, draw(st.floats(0.0, 5.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(_closed_problems())
+def test_exact_path_is_the_generator_exponential(problem):
+    h, rho0, t = problem
+    dim = h.shape[0]
+    space = FockBasis(dim - 1)
+    state = evolve_lindblad(LindbladModel(Operator(space, h)),
+                            DensityMatrix(space, rho0), [t])[0]
+    oracle = (expm(_generator(h, []).toarray() * t) @ rho0.reshape(-1)).reshape(dim, dim)
+    assert np.max(np.abs(state.matrix - oracle)) < 1e-9
+    # unitary similarity keeps the spectrum
+    spectrum = np.linalg.eigvalsh(state.matrix)
+    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(rho0))) < 1e-10
+
+
+def test_scan_result_leaves_caller_arrays_writable():
+    times = np.linspace(0.0, 1e-3, 5)
+    r = simulate_flop(resonant_probe("blue"), times, 0.13)
+    times[-1] = 2e-3
+    assert r.x[-1] == 1e-3 and not r.x.flags.writeable
 
 
 def test_heating_collapse_ops_scaling():
