@@ -9,7 +9,6 @@ default path when the command line gives none.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -45,10 +44,8 @@ class ExperimentConfig:
     recoil_quanta: float = 0.0
     shots_per_point: int = 100
     seed: int = 12345
-    integrator_method: str = "adaptive"
     integrator_rel_tol: float = 1e-8
     integrator_abs_tol: float = 1e-11
-    integrator_max_step_s: float = 0.0  # 0 = unbounded
 
     def __post_init__(self) -> None:
         positive = ("mass_amu", "nu_z_hz", "carrier_rabi_hz", "probe_time_s",
@@ -58,7 +55,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         nonneg = ("gradient_t_m", "dressing_rabi_hz", "sideband_rabi_hz",
                   "heating_rate_per_s", "doppler_nbar", "repump_pi_time_s",
-                  "repump_pump_time_s", "recoil_quanta", "integrator_max_step_s")
+                  "repump_pump_time_s", "recoil_quanta")
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -70,10 +67,6 @@ class ExperimentConfig:
             raise ConfigError("shots_per_point must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.integrator_method not in ("adaptive", "fixed_step_rk4"):
-            raise ConfigError(
-                f"integrator_method must be adaptive or fixed_step_rk4, "
-                f"got {self.integrator_method!r}")
 
     # -- constructors for the physics objects -------------------------------
 
@@ -108,9 +101,7 @@ class ExperimentConfig:
         return HeatingChannel(self.heating_rate_per_s)
 
     def integrator(self) -> IntegratorConfig:
-        max_step = self.integrator_max_step_s if self.integrator_max_step_s > 0 else math.inf
-        return IntegratorConfig(self.integrator_method, max_step,
-                                self.integrator_rel_tol, self.integrator_abs_tol)
+        return IntegratorConfig(self.integrator_rel_tol, self.integrator_abs_tol)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -118,19 +109,16 @@ class ExperimentConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _INT_KEYS = {"n_start", "repump_extra_swaps", "shots_per_point", "seed"}
-_STR_KEYS = {"integrator_method"}
 
 
 def _convert(key: str, raw: str):
     raw = raw.strip()
     try:
-        if key in _STR_KEYS:
-            return raw
         if key in _INT_KEYS:
             return int(raw)
         return float(raw)
     except ValueError:
-        kind = "a string" if key in _STR_KEYS else ("an integer" if key in _INT_KEYS else "a number")
+        kind = "an integer" if key in _INT_KEYS else "a number"
         raise ConfigError(f"value for {key!r} must be {kind}, got {raw!r}") from None
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import IntegrationError, TruncationError
 from .dynamics import (
     HeatingChannel,
     IntegratorConfig,
@@ -55,6 +55,8 @@ __all__ = [
 
 # Population allowed in the top bin before the rate map refuses to continue.
 TOP_BIN_TOL = 1e-4
+# Negative probability the heating propagator may clip as roundoff.
+CLIP_TOL = 1e-9
 
 SIDEBAND_KIND = "red_sideband"
 REPUMP_KIND = "repump"
@@ -184,7 +186,8 @@ class _HeatingPropagator:
 
     Q is symmetric (up element n+1 equals the down element across the same
     edge), so one eigendecomposition per n_max gives exact propagation.
-    Columns of Q sum to zero: probability is conserved to roundoff.
+    Columns of Q sum to zero: probability is conserved to roundoff.  apply
+    clips negative roundoff and raises IntegrationError past CLIP_TOL.
     """
 
     def __init__(self, n_max: int) -> None:
@@ -203,6 +206,11 @@ class _HeatingPropagator:
             return p
         coeff = self.vecs.T @ p
         out = self.vecs @ (np.exp(self.evals * n_dot_t) * coeff)
+        clipped = -float(out[out < 0.0].sum())
+        if clipped > CLIP_TOL:
+            raise IntegrationError(
+                f"heating propagation left {clipped:.3e} negative probability "
+                f"(> {CLIP_TOL:.0e} roundoff allowance)")
         out = np.clip(out, 0.0, None)
         return out / out.sum()
 

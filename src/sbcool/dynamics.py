@@ -6,18 +6,18 @@ jump operators sqrt(ndot) a' and sqrt(ndot) a with equal rates, which drives
 d<N>/dt = ndot for any state.
 
 evolve_lindblad takes one of two paths, chosen from its input.  A closed
-system (no nonzero collapse operator) under the adaptive method is propagated
-exactly: H is split into the connected components of its sparsity graph, each
-of which spans an invariant subspace, and diagonalised block by block.  The
-effective model splits into 2x2 blocks, full_dressed into blocks of at most
-4.  keep_carrier gives one block, still exact, where stepping would need
-prohibitively many steps to resolve the trap frequency.  Every other run
-builds the generator once, as one sparse superoperator on the row-major
-flattened density matrix, and integrates only the entries in the connected
-components of its sparsity graph that hold rho0's nonzero entries; no term
-couples them to any other entry, so every other entry stays exactly zero.
-For the sideband models with a diagonal rho0 that is the block of equal
-excitation number on both sides of rho.
+system (no nonzero collapse operator) is propagated exactly: H is split into
+the connected components of its sparsity graph, each of which spans an
+invariant subspace, and diagonalised block by block.  The effective model
+splits into 2x2 blocks, full_dressed into blocks of at most 4.  keep_carrier
+gives one block, still exact, where stepping would need prohibitively many
+steps to resolve the trap frequency.  Every other run builds the generator
+once, as one sparse superoperator on the row-major flattened density matrix,
+and integrates with RK45 only the entries in the connected components of its
+sparsity graph that hold rho0's nonzero entries; no term couples them to any
+other entry, so every other entry stays exactly zero.  For the sideband
+models with a diagonal rho0 that is the block of equal excitation number on
+both sides of rho.
 """
 
 from __future__ import annotations
@@ -92,32 +92,21 @@ class HeatingChannel:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integrator selection and tolerances.
+    """RK45 tolerances for runs with dissipation.
 
-    method      "adaptive" (RK45 via scipy) or "fixed_step_rk4"
-    max_step_s  step bound; required (> 0) for the fixed-step method
-    rel_tol     relative tolerance of the adaptive method
-    abs_tol     absolute tolerance of the adaptive method
+    rel_tol     relative tolerance
+    abs_tol     absolute tolerance
 
-    With "adaptive", a closed system (no nonzero collapse operator) is
-    propagated exactly by eigendecomposition instead of stepped, so max_step_s,
-    rel_tol and abs_tol apply only to runs with dissipation.
+    A closed system (no nonzero collapse operator) is propagated exactly by
+    eigendecomposition instead of stepped, so neither applies to it.
     """
 
-    method: str = "adaptive"
-    max_step_s: float = math.inf
     rel_tol: float = 1e-8
     abs_tol: float = 1e-11
 
     def __post_init__(self) -> None:
-        if self.method not in ("adaptive", "fixed_step_rk4"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.max_step_s <= 0:
-            raise ValueError("max_step_s must be > 0")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.method == "fixed_step_rk4" and not math.isfinite(self.max_step_s):
-            raise ValueError("fixed_step_rk4 requires a finite max_step_s")
 
 
 @dataclass(frozen=True)
@@ -177,24 +166,11 @@ def _generator(h_mat: np.ndarray, l_mats: list[np.ndarray]) -> sp.csr_array:
     return sp.csr_array(gen)
 
 
-def _rk4_fixed(rhs, y0: np.ndarray, times: np.ndarray, step: float) -> list[np.ndarray]:
-    """Classical RK4 with a fixed step, landing exactly on each output time."""
-    out = []
-    y = y0.copy()
-    t = times[0]
-    out.append(y.copy())
-    for target in times[1:]:
-        while t < target - 1e-15:
-            h = min(step, target - t)
-            k1 = rhs(t, y)
-            k2 = rhs(t + h / 2.0, y + h / 2.0 * k1)
-            k3 = rhs(t + h / 2.0, y + h / 2.0 * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        out.append(y.copy())
-        t = target
-    return out
+def _nonempty_1d(values: Sequence[float], name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"{name} must be a non-empty 1-D sequence")
+    return arr
 
 
 def evolve_lindblad(
@@ -207,22 +183,20 @@ def evolve_lindblad(
 
     times must be strictly increasing and start at >= 0; evolution always
     starts from t = 0 with rho0.  A closed system (no nonzero collapse
-    operator) under the adaptive method is propagated exactly, block by block
-    of H; anything else is integrated on the reachable entries of the
-    generator.  Output states are validated (Hermitian, unit trace, positive)
-    with tolerances appropriate for integrator output; a state that fails
-    them, or a trace drift beyond 1e-6, raises IntegrationError.
+    operator) is propagated exactly, block by block of H; anything else is
+    integrated with RK45 on the reachable entries of the generator.  Output
+    states are validated (Hermitian, unit trace, positive) with tolerances
+    appropriate for integrator output; a state that fails them, or a trace
+    drift beyond 1e-6, raises IntegrationError.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise ValueError("times must be a non-empty 1-D sequence")
+    t = _nonempty_1d(times, "times")
     if t[0] < 0 or np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing and start at >= 0")
     if rho0.space.dim != model.space.dim:
         raise ValueError("initial state dimension does not match model")
 
     l_mats = _nonzero_ops(model.collapse_ops)
-    if not l_mats and cfg.method == "adaptive":
+    if not l_mats:
         rhos = _propagate_closed(model.hamiltonian.matrix, rho0.matrix, t)
     else:
         rhos = _integrate(model.hamiltonian.matrix, l_mats, rho0.matrix, t, cfg)
@@ -282,30 +256,14 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         return sub @ y
 
-    eval_times = t if t[0] == 0.0 else np.concatenate([[0.0], t])
-
-    if cfg.method == "fixed_step_rk4":
-        ys = _rk4_fixed(rhs, y0, eval_times, cfg.max_step_s)
+    if t[-1] == 0.0:
+        ys = [y0]
     else:
-        if eval_times[-1] == 0.0:
-            ys = [y0]
-        else:
-            sol = solve_ivp(
-                rhs,
-                (0.0, float(eval_times[-1])),
-                y0,
-                method="RK45",
-                t_eval=eval_times,
-                rtol=cfg.rel_tol,
-                atol=cfg.abs_tol,
-                max_step=cfg.max_step_s,
-            )
-            if not sol.success:
-                raise IntegrationError(f"integrator failed: {sol.message}")
-            ys = [sol.y[:, i] for i in range(sol.y.shape[1])]
-
-    if t[0] != 0.0:
-        ys = ys[1:]
+        sol = solve_ivp(rhs, (0.0, float(t[-1])), y0, method="RK45", t_eval=t,
+                        rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        if not sol.success:
+            raise IntegrationError(f"integrator failed: {sol.message}")
+        ys = sol.y.T
 
     for y in ys:
         rho = np.zeros((dim, dim), dtype=complex)
@@ -531,7 +489,7 @@ def simulate_flop(
     |0'> (x) thermal(n_bar) or an explicit Fock distribution.  Truncation is
     chosen by the documented cutoff policy and checked post hoc.
     """
-    t = np.asarray(times, dtype=float)
+    t = _nonempty_1d(times, "times")
     n_dot = heating.n_dot if heating is not None else 0.0
     if n_max is None:
         n_max = _pick_n_max(initial, n_dot, float(t[-1]))
@@ -560,9 +518,7 @@ def _scan_point(args) -> float:
 
 
 def _scan_grid(detunings_hz: Sequence[float], t_probe_s: float) -> np.ndarray:
-    deltas = np.asarray(detunings_hz, dtype=float)
-    if deltas.ndim != 1 or deltas.size < 1:
-        raise ValueError("detunings must be a non-empty 1-D sequence")
+    deltas = _nonempty_1d(detunings_hz, "detunings")
     if t_probe_s <= 0:
         raise ValueError("t_probe_s must be > 0")
     return deltas

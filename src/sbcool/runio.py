@@ -21,6 +21,7 @@ A shots value of 0 marks noiseless probabilities (--shots inf).
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -75,7 +76,8 @@ def write_csv(path, header: Sequence[str], rows) -> None:
 
 
 def read_csv(path, expected_header: Sequence[str]) -> dict[str, np.ndarray]:
-    """Strict reader: header must match the schema exactly; empty data errors.
+    """Strict reader: header must match the schema exactly; empty data and
+    non-numeric or non-finite values error.
 
     Returns float arrays keyed by column name.
     """
@@ -109,10 +111,14 @@ def read_csv(path, expected_header: Sequence[str]) -> dict[str, np.ndarray]:
                 f"{p}:{lineno}: expected {len(expected)} fields, got {len(parts)}")
         for name, raw in zip(expected, parts):
             try:
-                cols[name].append(float(raw))
+                value = float(raw)
             except ValueError:
                 raise DataFormatError(
                     f"{p}:{lineno}: column {name!r} has non-numeric value {raw!r}") from None
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"{p}:{lineno}: column {name!r} has non-finite value {raw!r}")
+            cols[name].append(value)
     return {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
 
 

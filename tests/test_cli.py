@@ -95,6 +95,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert run(["constants", "--set", "zeeman_splitting_hz=1"]) == 2
     assert "unknown key 'zeeman_splitting_hz'" in capsys.readouterr().err
     assert run(["constants", "--set", "nonsense"]) == 2
+    for key, value in (("integrator_method", "adaptive"), ("integrator_max_step_s", "0")):
+        assert run(["constants", "--set", f"{key}={value}"]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
     assert run(["heatrate", "--delays", "0.005"]) == 2  # needs two delays
 
 
@@ -104,6 +107,17 @@ def test_exit_code_2_on_data_format_errors(tmp_path, capsys):
     assert run(["fit", bad, bad, "--mode", "spectra"]) == 2
     err = capsys.readouterr().err
     assert "detuning_hz" in err
+
+
+@pytest.mark.parametrize("column, row", [("p_f1", "-426600,nan,0"),
+                                         ("detuning_hz", "nan,0.2,0")])
+def test_exit_code_2_on_non_finite_data(tmp_path, capsys, column, row):
+    bad = tmp_path / "red.csv"
+    bad.write_text(f"detuning_hz,p_f1,shots\n-426700,0.1,0\n{row}\n")
+    good = tmp_path / "blue.csv"
+    good.write_text("detuning_hz,p_f1,shots\n426600,0.1,0\n426700,0.2,0\n")
+    assert run(["fit", bad, good, "--mode", "spectra"]) == 2
+    assert f"{bad}:3: column {column!r} has non-finite value 'nan'" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):

@@ -7,17 +7,25 @@ growth n_dot * dt for the birth-death heating propagator.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbcool import (
+    DensityMatrix,
+    FockBasis,
     FockDistribution,
     HeatingChannel,
+    IntegrationError,
     IntegratorConfig,
+    LindbladModel,
+    Operator,
     PulseSchedule,
     PulseSpec,
     RepumpModel,
     TruncationError,
     build_schedule,
+    evolve_lindblad,
     heat_distribution,
+    heating_collapse_ops,
     mean_phonon,
     pulse_transfer_probability,
     schedule_from_rows,
@@ -27,6 +35,7 @@ from sbcool import (
     simulate_cooling_quantum,
     thermal_distribution,
 )
+from sbcool.cooling import _HeatingPropagator
 
 F1 = 394.2770864367975
 
@@ -107,6 +116,37 @@ def test_heating_propagator_matches_lindblad():
                           [5e-3], IntegratorConfig())[-1]
     direct = heat_distribution(thermal_distribution(0.3, 50), 120.0, 5e-3)
     assert np.max(np.abs(motional_populations(rho) - direct.populations)) < 1e-6
+
+
+@st.composite
+def _top_heavy_distributions(draw):
+    """Populations over 0..n_max <= 20 with weight in the top level."""
+    n_max = draw(st.integers(1, 20))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n_max, max_size=n_max))
+    p = np.array(weights + [draw(st.floats(0.01, 1.0))])
+    return p / p.sum()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(p0=_top_heavy_distributions(), n_dot_t=st.floats(0.0, 3.0))
+def test_rate_map_heating_is_lindblad_heating(p0, n_dot_t):
+    # truncated a' gives no birth out of n_max, as the rate map's top bin
+    fock = FockBasis(p0.size - 1)
+    ops = tuple(heating_collapse_ops(HeatingChannel(1.0), fock))
+    model = LindbladModel(Operator(fock, np.zeros((fock.dim, fock.dim), dtype=complex)), ops)
+    rho0 = DensityMatrix(fock, np.diag(p0).astype(complex))
+    rho = evolve_lindblad(model, rho0, [n_dot_t])[-1]
+    direct = heat_distribution(FockDistribution(p0), 1.0, n_dot_t)
+    assert np.max(np.abs(rho.populations() - direct.populations)) < 1e-8
+
+
+def test_heating_propagator_bounds_its_clip():
+    p = np.array([0.5 + 1e-6, -1e-6, 0.3, 0.2, 0.0])
+    with pytest.raises(IntegrationError, match="negative probability"):
+        _HeatingPropagator(4).apply(p, 1e-9)
+    valid = thermal_distribution(5.0, 300).populations
+    out = _HeatingPropagator(300).apply(np.array(valid), 50.0)
+    assert out.min() >= 0.0 and out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cooling_with_heating_reaches_steady_offset():

@@ -70,14 +70,6 @@ def test_vacuum_red_flop_is_dark():
     assert np.max(r.p_f1) < 1e-10
 
 
-def test_fixed_step_matches_adaptive():
-    times = np.linspace(0.0, 1.5e-3, 7)
-    cfg = IntegratorConfig(method="fixed_step_rk4", max_step_s=5e-7)
-    a = simulate_flop(resonant_probe("blue"), times, 0.13, cfg=cfg)
-    b = simulate_flop(resonant_probe("blue"), times, 0.13)
-    assert np.max(np.abs(a.p_f1 - b.p_f1)) < 1e-6
-
-
 def test_heating_rate_exact_on_vacuum_and_thermal():
     space = two_level_space(40)
     h = effective_two_level_hamiltonian(ETA, 0.0, 426.7e3, -426.7e3, space)
@@ -261,14 +253,13 @@ def test_keep_carrier_matches_dense_eigendecomposition(model):
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10
 
 
-@pytest.mark.parametrize("n_dot, method, called", [
-    (0.0, "adaptive", set()),
-    (41.0, "adaptive", {"_generator", "solve_ivp"}),
-    (0.0, "fixed_step_rk4", {"_generator", "_rk4_fixed"}),
+@pytest.mark.parametrize("n_dot, called", [
+    (0.0, set()),
+    (41.0, {"_generator", "solve_ivp"}),
 ])
-def test_closed_adaptive_runs_are_propagated_exactly(monkeypatch, n_dot, method, called):
+def test_closed_adaptive_runs_are_propagated_exactly(monkeypatch, n_dot, called):
     seen = set()
-    for name in ("_generator", "solve_ivp", "_rk4_fixed"):
+    for name in ("_generator", "solve_ivp"):
         def spy(*args, _name=name, _real=getattr(dynamics, name), **kwargs):
             seen.add(_name)
             return _real(*args, **kwargs)
@@ -278,9 +269,7 @@ def test_closed_adaptive_runs_are_propagated_exactly(monkeypatch, n_dot, method,
                                         sideband="blue")
     # rate 0 still passes two (zero) collapse operators
     model = LindbladModel(h, tuple(heating_collapse_ops(HeatingChannel(n_dot), space)))
-    cfg = (IntegratorConfig() if method == "adaptive"
-           else IntegratorConfig(method=method, max_step_s=5e-6))
-    evolve_lindblad(model, thermal_density(0.13, space), [0.0, 1e-4], cfg)
+    evolve_lindblad(model, thermal_density(0.13, space), [0.0, 1e-4])
     assert seen == called
 
 
@@ -323,6 +312,11 @@ def test_scan_result_leaves_caller_arrays_writable():
     r = simulate_flop(resonant_probe("blue"), times, 0.13)
     times[-1] = 2e-3
     assert r.x[-1] == 1e-3 and not r.x.flags.writeable
+
+
+def test_empty_times_are_rejected_before_the_cutoff_policy():
+    with pytest.raises(ValueError, match="times must be a non-empty 1-D sequence"):
+        simulate_flop(SidebandProbe(), [], 0.1)
 
 
 def test_heating_collapse_ops_scaling():
