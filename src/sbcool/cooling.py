@@ -7,6 +7,17 @@ populations: every level transfers down with its own sin^2 probability during
 each pulse, and motional heating acts as a birth-death process over each
 pulse's wall-clock duration.
 
+Heating is propagated exactly in the eigenbasis of its symmetric tridiagonal
+generator, from one eigh_tridiagonal per run.  Windows with nothing between
+them are one propagation, so heating is deferred: after each transfer the
+rate map keeps the eigen-coordinates and sums the heating that follows, reads
+each n_bar row and top-bin population from them, and forms the population
+vector only before the next transfer, before a recoil step and at the end.
+A recoil-free cycle therefore costs two D x D products.  The top-bin guard
+(TOP_BIN_TOL) is checked after every schedule entry; the negative-roundoff
+bound (CLIP_TOL) on every formed heated state and on every master-equation
+pulse of the twin.
+
 A master-equation twin (simulate_cooling_quantum) runs the same schedule on
 the effective two-level model with projective repumping; it exists to
 cross-validate the rate map and is exact for the same physics, so the two
@@ -20,6 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import IntegrationError, TruncationError
 from .dynamics import (
@@ -180,39 +192,53 @@ def schedule_total_time(schedule: PulseSchedule,
 # distribution-level heating
 
 
+def _clip_roundoff(p: np.ndarray, source: str) -> np.ndarray:
+    """Clip negative roundoff from populations and renormalise; raises
+    IntegrationError, naming source and the magnitude, when the clipped
+    negative mass exceeds CLIP_TOL."""
+    clipped = -float(p[p < 0.0].sum())
+    if clipped > CLIP_TOL:
+        raise IntegrationError(
+            f"{source} left {clipped:.3e} negative probability "
+            f"(> {CLIP_TOL:.0e} roundoff allowance)")
+    p = np.clip(p, 0.0, None)
+    return p / p.sum()
+
+
 class _HeatingPropagator:
     """exp(ndot t Q) on population vectors for the birth-death generator Q with
     up-rate (n+1) and down-rate n, truncated reflectively at n_max.
 
-    Q is symmetric (up element n+1 equals the down element across the same
-    edge), so one eigendecomposition per n_max gives exact propagation.
-    Columns of Q sum to zero: probability is conserved to roundoff.  apply
-    clips negative roundoff and raises IntegrationError past CLIP_TOL.
+    Q is symmetric tridiagonal (up element n+1 equals the down element across
+    the same edge), so one eigh_tridiagonal per n_max, Q = V diag(lam) V^T,
+    gives exact propagation p -> V (exp(lam ndot t) * V^T p); the dense Q is
+    never built.  Heating windows with nothing between them compose,
+    exp(aQ) exp(bQ) = exp((a+b)Q), so a caller may keep the eigen-coordinates
+    c = V^T p, add up windows, and read n_bar and the top bin from
+    readout @ weights(c, s) before forming the state once.  Columns of Q sum
+    to zero: probability is conserved to roundoff.  form() clips negative
+    roundoff and raises IntegrationError past CLIP_TOL.
     """
 
     def __init__(self, n_max: int) -> None:
-        n = np.arange(n_max + 1)
-        q = np.zeros((n_max + 1, n_max + 1))
-        off = n[1:]  # edge n-1 <-> n carries rate n
-        q[n[1:], n[:-1]] = off
-        q[n[:-1], n[1:]] = off
+        n = np.arange(n_max + 1.0)
         diag = -(2.0 * n + 1.0)
         diag[-1] = -float(n_max)  # no birth out of the top bin
-        q[n, n] = diag
-        self.evals, self.vecs = np.linalg.eigh(q)
+        # edge n-1 <-> n carries rate n
+        self.evals, self.vecs = eigh_tridiagonal(diag, n[1:])
+        # rows: n_bar and top-bin population of the state V w
+        self.readout = np.vstack([n @ self.vecs, self.vecs[-1]])
+
+    def weights(self, c: np.ndarray, n_dot_t: float) -> np.ndarray:
+        return np.exp(self.evals * n_dot_t) * c
+
+    def form(self, w: np.ndarray) -> np.ndarray:
+        return _clip_roundoff(self.vecs @ w, "heating propagation")
 
     def apply(self, p: np.ndarray, n_dot_t: float) -> np.ndarray:
         if n_dot_t == 0.0:
             return p
-        coeff = self.vecs.T @ p
-        out = self.vecs @ (np.exp(self.evals * n_dot_t) * coeff)
-        clipped = -float(out[out < 0.0].sum())
-        if clipped > CLIP_TOL:
-            raise IntegrationError(
-                f"heating propagation left {clipped:.3e} negative probability "
-                f"(> {CLIP_TOL:.0e} roundoff allowance)")
-        out = np.clip(out, 0.0, None)
-        return out / out.sum()
+        return self.form(self.weights(self.vecs.T @ p, n_dot_t))
 
 
 def heat_distribution(dist: FockDistribution, n_dot: float, dt: float) -> FockDistribution:
@@ -294,8 +320,10 @@ def simulate_cooling(
 
     Each sideband pulse moves population down with per-level sin^2
     probabilities; heating acts over every pulse's wall-clock duration; the
-    repump resets spin implicitly and applies recoil if configured.  Raises
-    TruncationError if the top bin accumulates more than 1e-4.
+    repump resets spin implicitly and applies recoil if configured.  Heating
+    between transfers is deferred and propagated once (see the module
+    docstring).  Raises TruncationError if the top bin holds more than 1e-4
+    after any schedule entry.
     """
     if n_max is None:
         n_max = max(schedule.n_start + 150, dist0.n_max)
@@ -307,38 +335,49 @@ def simulate_cooling(
     n_dot = heating.n_dot if heating is not None else 0.0
     prop = _HeatingPropagator(n_max) if n_dot > 0 else None
     rabi_1 = schedule.sideband_rabi_1_hz
+    levels = np.arange(p.size)
 
     idx = [0]
-    nbars = [float(np.dot(np.arange(p.size), p))]
+    nbars = [float(levels @ p)]
     elapsed = [0.0]
     t = 0.0
     k = 0
     pending_transfer = 0.0
+    # heating since p last changed: c = V^T p, accumulated n_dot * time s
+    c, s = None, 0.0
 
     for pulse in schedule.pulses:
+        if pulse.kind == SIDEBAND_KIND or repump.recoil_quanta > 0:
+            if c is not None:
+                p, c = prop.form(prop.weights(c, s)), None
+            if pulse.kind == SIDEBAND_KIND:
+                p, moved = _apply_transfer(p, rabi_1, pulse.duration_s)
+                pending_transfer = float(moved.sum())
+            else:
+                p = _apply_recoil(p, pending_transfer, repump.recoil_quanta)
+                pending_transfer = 0.0
+        if prop is not None:
+            if c is None:
+                c, s = prop.vecs.T @ p, 0.0
+            s += n_dot * pulse.duration_s
+            nbar, top = prop.readout @ prop.weights(c, s)
+        else:
+            nbar, top = levels @ p, p[-1]
+        t += pulse.duration_s
         if pulse.kind == SIDEBAND_KIND:
-            p, moved = _apply_transfer(p, rabi_1, pulse.duration_s)
-            pending_transfer = float(moved.sum())
-            if prop is not None:
-                p = prop.apply(p, n_dot * pulse.duration_s)
-            t += pulse.duration_s
             k += 1
             idx.append(k)
-            nbars.append(float(np.dot(np.arange(p.size), p)))
+            nbars.append(float(nbar))
             elapsed.append(t)
         else:
-            if repump.recoil_quanta > 0:
-                p = _apply_recoil(p, pending_transfer, repump.recoil_quanta)
-            pending_transfer = 0.0
-            if prop is not None:
-                p = prop.apply(p, n_dot * pulse.duration_s)
-            t += pulse.duration_s
             # repump time counts toward the trajectory clock of the last row
             elapsed[-1] = t
-        if p[-1] > TOP_BIN_TOL:
+        if top > TOP_BIN_TOL:
             raise TruncationError(
-                f"top bin population {p[-1]:.3e} > {TOP_BIN_TOL:.0e} at pulse {k}")
+                f"top bin population {top:.3e} > {TOP_BIN_TOL:.0e} at pulse {k}")
 
+    if c is not None:
+        p = prop.form(prop.weights(c, s))
     final = FockDistribution(p / p.sum(), truncation_loss=dist0.truncation_loss)
     return CoolingResult(final, np.array(idx), np.array(nbars), np.array(elapsed))
 
@@ -382,9 +421,7 @@ def simulate_cooling_quantum(
         if pulse.kind == SIDEBAND_KIND:
             rho0 = distribution_density(FockDistribution(pops), space, "0'")
             state = evolve_lindblad(model, rho0, [pulse.duration_s], cfg)[-1]
-            pops = motional_populations(state)
-            pops = np.clip(pops, 0.0, None)
-            pops /= pops.sum()
+            pops = _clip_roundoff(motional_populations(state), "master-equation pulse")
             t += pulse.duration_s
             k += 1
             idx.append(k)

@@ -85,10 +85,11 @@ def read_csv(path, expected_header: Sequence[str]) -> dict[str, np.ndarray]:
     if not p.is_file():
         raise DataFormatError(f"no such data file: {p}")
     text = p.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # (line number, text) of the non-blank lines, numbered as in the file
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise DataFormatError(f"{p}: file is empty")
-    header = tuple(col.strip() for col in lines[0].split(","))
+    header = tuple(col.strip() for col in lines[0][1].split(","))
     expected = tuple(expected_header)
     if header != expected:
         missing = [c for c in expected if c not in header]
@@ -104,7 +105,7 @@ def read_csv(path, expected_header: Sequence[str]) -> dict[str, np.ndarray]:
     if len(lines) == 1:
         raise DataFormatError(f"{p}: no data rows")
     cols = {name: [] for name in expected}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(expected):
             raise DataFormatError(

@@ -171,6 +171,14 @@ def test_read_csv_diagnostics(tmp_path):
     assert "fast" in str(err.value) or "line" in str(err.value)
 
 
+def test_read_csv_numbers_lines_as_in_the_file(tmp_path):
+    # blank lines 2 and 4 are skipped but still counted
+    blank = tmp_path / "blank.csv"
+    blank.write_text("detuning_hz,p_f1,shots\n\n0,0.5,100\n\n1,nan,100\n")
+    with pytest.raises(DataFormatError, match=r"blank\.csv:5: column 'p_f1'"):
+        read_csv(blank, SCAN_HEADER)
+
+
 def test_sample_shots_noiseless_and_seeded():
     p = np.array([0.0, 0.25, 0.5, 1.0])
     est, col = sample_shots(p, 0, np.random.default_rng(1))

@@ -2,12 +2,17 @@
 
 Frozen oracles: pi-times t_n = 1/(2 f1 sqrt(n)) summed over the default
 500-pulse ladder, the off-target transfer sin^2(pi sqrt(2)/2), and exact mean
-growth n_dot * dt for the birth-death heating propagator.
+growth n_dot * dt for the birth-death heating propagator.  The heating
+propagator is checked against expm of the dense generator, and the rate map's
+deferred heating against heating after every schedule entry.
 """
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from sbcool import (
     DensityMatrix,
@@ -27,6 +32,7 @@ from sbcool import (
     heat_distribution,
     heating_collapse_ops,
     mean_phonon,
+    motional_populations,
     pulse_transfer_probability,
     schedule_from_rows,
     schedule_to_rows,
@@ -35,7 +41,12 @@ from sbcool import (
     simulate_cooling_quantum,
     thermal_distribution,
 )
-from sbcool.cooling import _HeatingPropagator
+from sbcool.cooling import (
+    TOP_BIN_TOL,
+    _apply_recoil,
+    _apply_transfer,
+    _HeatingPropagator,
+)
 
 F1 = 394.2770864367975
 
@@ -211,3 +222,103 @@ def test_top_bin_guard_raises():
     with pytest.raises(TruncationError):
         simulate_cooling(dist0, sched, HeatingChannel(5e4), RepumpModel(),
                          n_max=10)
+
+
+def _dense_heating_generator(n_max):
+    q = np.zeros((n_max + 1, n_max + 1))
+    for n in range(1, n_max + 1):
+        q[n, n - 1] = q[n - 1, n] = n
+    for n in range(n_max + 1):
+        q[n, n] = -(2 * n + 1) if n < n_max else -n_max
+    return q
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 4, 50, 300])
+def test_tridiagonal_propagator_matches_expm(n_max):
+    q = _dense_heating_generator(n_max)
+    prop = _HeatingPropagator(n_max)
+    p = np.random.default_rng(n_max).random(n_max + 1)
+    p /= p.sum()
+    for n_dot_t in (1e-3, 0.1, 5.0):
+        out = prop.apply(p, n_dot_t)
+        assert np.max(np.abs(out - expm(n_dot_t * q) @ p)) < 1e-12
+        assert abs(out.sum() - 1.0) < 1e-12
+
+
+def _cool_heating_every_entry(dist0, schedule, n_dot, repump, n_max):
+    """The rate map with heating propagated after every schedule entry."""
+    prop = _HeatingPropagator(n_max)
+    levels = np.arange(n_max + 1)
+    p = np.zeros(n_max + 1)
+    p[: dist0.n_max + 1] = dist0.populations
+    nbars = [levels @ p]
+    k, pending = 0, 0.0
+    for pulse in schedule.pulses:
+        if pulse.kind == "red_sideband":
+            p, moved = _apply_transfer(p, schedule.sideband_rabi_1_hz, pulse.duration_s)
+            pending = moved.sum()
+        else:
+            if repump.recoil_quanta > 0:
+                p = _apply_recoil(p, pending, repump.recoil_quanta)
+            pending = 0.0
+        p = prop.apply(p, n_dot * pulse.duration_s)
+        if pulse.kind == "red_sideband":
+            k += 1
+            nbars.append(levels @ p)
+        if p[-1] > TOP_BIN_TOL:
+            raise TruncationError(f"at pulse {k}")
+    return p / p.sum(), np.array(nbars)
+
+
+def _irregular_schedule():
+    """A repump first, two sideband pulses in a row, repump pairs, and a
+    zero-length repump."""
+    def t(n):
+        return 1.0 / (2.0 * F1 * float(np.sqrt(n)))
+
+    entries = [("repump", "", 34e-6), ("red_sideband", 6, t(6)), ("red_sideband", 5, t(5)),
+               ("repump", "", 34e-6), ("repump", "", 0.0), ("red_sideband", 3, t(3)),
+               ("repump", "", 34e-6), ("repump", "", 20e-6), ("red_sideband", 1, t(1)),
+               ("repump", "", 34e-6)]
+    rows = [[str(i), kind, str(target), str(dur)] for i, (kind, target, dur) in enumerate(entries)]
+    return schedule_from_rows(rows, n_start=6, sideband_rabi_1_hz=F1)
+
+
+@pytest.mark.parametrize("recoil", [0.0, 0.3])
+@pytest.mark.parametrize("n_dot", [41.0, 500.0])
+def test_deferred_heating_equals_heating_after_every_entry(n_dot, recoil):
+    repump = RepumpModel(recoil_quanta=recoil)
+    dist0 = thermal_distribution(2.0, 30)
+    for sched in (build_schedule(20, F1, repump), _irregular_schedule()):
+        res = simulate_cooling(dist0, sched, HeatingChannel(n_dot), repump, n_max=80)
+        pops, nbars = _cool_heating_every_entry(dist0, sched, n_dot, repump, 80)
+        assert np.max(np.abs(res.final.populations - pops)) < 1e-12
+        assert np.max(np.abs(res.nbar - nbars)) < 1e-9
+
+
+@pytest.mark.parametrize("sched, n_dot, n_max", [
+    (build_schedule(1, F1, RepumpModel()), 5e4, 10),
+    (_irregular_schedule(), 5e4, 20),
+    (_irregular_schedule(), 2e3, 25),
+    (_irregular_schedule(), 2e3, 30),
+])
+def test_top_bin_guard_names_the_reference_pulse(sched, n_dot, n_max):
+    dist0 = thermal_distribution(1.0, 10)
+    with pytest.raises(TruncationError) as ref:
+        _cool_heating_every_entry(dist0, sched, n_dot, RepumpModel(), n_max)
+    with pytest.raises(TruncationError) as err:
+        simulate_cooling(dist0, sched, HeatingChannel(n_dot), RepumpModel(), n_max=n_max)
+    assert re.search(r"at pulse \d+$", str(err.value)).group() == str(ref.value)
+
+
+def test_quantum_twin_bounds_its_clip(monkeypatch):
+    def with_negative_entry(state):
+        pops = motional_populations(state)
+        pops[1] -= 1e-6
+        pops[0] += 1e-6
+        return pops
+
+    monkeypatch.setattr("sbcool.cooling.motional_populations", with_negative_entry)
+    sched = build_schedule(2, F1, RepumpModel())
+    with pytest.raises(IntegrationError, match="negative probability"):
+        simulate_cooling_quantum(thermal_distribution(0.0, 5), sched, None, n_max=5)
