@@ -185,9 +185,9 @@ def evolve_lindblad(
     starts from t = 0 with rho0.  A closed system (no nonzero collapse
     operator) is propagated exactly, block by block of H; anything else is
     integrated with RK45 on the reachable entries of the generator.  Output
-    states are validated (Hermitian, unit trace, positive) with tolerances
-    appropriate for integrator output; a state that fails them, or a trace
-    drift beyond 1e-6, raises IntegrationError.
+    states are validated (finite, Hermitian, unit trace, positive) with
+    tolerances appropriate for integrator output; a state that fails them, or
+    a trace drift beyond 1e-6, raises IntegrationError.
     """
     t = _nonempty_1d(times, "times")
     if t[0] < 0 or np.any(np.diff(t) <= 0):
@@ -272,14 +272,13 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
 
 
 def _validated(space, rhos: Iterable[np.ndarray], t: np.ndarray) -> list[DensityMatrix]:
-    """Trace-drift abort, hermitise and state check, shared by both paths."""
+    """Trace-drift abort and state check, shared by both paths."""
     states = []
     for ti, rho in zip(t, rhos):
         drift = abs(rho.trace() - 1.0)
-        if drift > TRACE_DRIFT_ABORT:
+        if not drift <= TRACE_DRIFT_ABORT:  # NaN trips it too
             raise IntegrationError(
                 f"trace drift {drift:.3e} at t={ti:.6g} s exceeds {TRACE_DRIFT_ABORT:.0e}")
-        rho = (rho + rho.conj().T) / 2.0  # remove roundoff-scale asymmetry only
         try:
             states.append(DensityMatrix(space, rho,
                                         herm_tol=1e-10, trace_tol=1e-6, psd_tol=1e-7))
@@ -305,9 +304,7 @@ def evolve_unitary(hamiltonian: Operator, rho0: DensityMatrix,
     for ti in t:
         phase = np.exp(-1j * evals * ti)
         rho_t = (phase[:, None] * rho_eig) * phase.conj()[None, :]
-        rho = vecs @ rho_t @ vecs.conj().T
-        rho = (rho + rho.conj().T) / 2.0
-        out.append(DensityMatrix(hamiltonian.space, rho,
+        out.append(DensityMatrix(hamiltonian.space, vecs @ rho_t @ vecs.conj().T,
                                  herm_tol=1e-10, trace_tol=1e-9, psd_tol=1e-7))
     return out
 

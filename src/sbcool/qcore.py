@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "FockBasis",
@@ -156,8 +157,9 @@ class Operator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Positive, unit-trace state.  Validation tolerances can be relaxed by
-    callers that hold integrator output rather than exactly constructed states."""
+    """Positive, unit-trace state, stored as the Hermitian part of the input.
+    Validation tolerances can be relaxed by callers that hold integrator output
+    rather than exactly constructed states."""
 
     space: Space
     matrix: np.ndarray
@@ -168,16 +170,24 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
         _check_square(mat, self.space.dim, "density matrix")
+        if not np.isfinite(mat).all():
+            raise ValueError("non-finite entries")
         herm_dev = np.abs(mat - mat.conj().T).max()
         if herm_dev > self.herm_tol:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
         tr = mat.trace()
         if abs(tr - 1.0) > self.trace_tol:
             raise ValueError(f"trace {tr:.12g} differs from 1 by {abs(tr - 1.0):.3e}")
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
-        if min_eig < -self.psd_tol:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
-        object.__setattr__(self, "matrix", _readonly(mat))
+        herm = (mat + mat.conj().T) / 2.0
+        # A Cholesky factor of herm + psd_tol I proves min eigenvalue > -psd_tol
+        # to the eigensolver's own roundoff; only a failed factorisation pays
+        # for the spectrum.
+        if lapack.zpotrf(herm + self.psd_tol * np.eye(len(herm)), clean=False)[1]:
+            min_eig = float(np.linalg.eigvalsh(herm).min())
+            if min_eig < -self.psd_tol:
+                raise ValueError(
+                    f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        object.__setattr__(self, "matrix", _readonly(herm))
 
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.matrix))

@@ -138,7 +138,7 @@ def _top_heavy_distributions(draw):
     return p / p.sum()
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(p0=_top_heavy_distributions(), n_dot_t=st.floats(0.0, 3.0))
 def test_rate_map_heating_is_lindblad_heating(p0, n_dot_t):
     # truncated a' gives no birth out of n_max, as the rate map's top bin

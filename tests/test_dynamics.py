@@ -16,6 +16,7 @@ from sbcool import (
     DensityMatrix,
     FockBasis,
     HeatingChannel,
+    IntegrationError,
     IntegratorConfig,
     LindbladModel,
     Operator,
@@ -292,7 +293,7 @@ def _closed_problems(draw):
     return h, rho0 / np.trace(rho0).real, draw(st.floats(0.0, 5.0))
 
 
-@settings(derandomize=True, deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(_closed_problems())
 def test_exact_path_is_the_generator_exponential(problem):
     h, rho0, t = problem
@@ -305,6 +306,73 @@ def test_exact_path_is_the_generator_exponential(problem):
     # unitary similarity keeps the spectrum
     spectrum = np.linalg.eigvalsh(state.matrix)
     assert np.max(np.abs(spectrum - np.linalg.eigvalsh(rho0))) < 1e-10
+
+
+@st.composite
+def _heated_fock_problems(draw):
+    """A coherent rho0 on n <= 3 of FockBasis(48), H = omega N, n_dot t <= 1."""
+    fock = FockBasis(48)
+    support = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(support, support)) + 1j * rng.normal(size=(support, support))
+    rho0 = np.zeros((fock.dim, fock.dim), dtype=complex)
+    rho0[:support, :support] = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+    n_dot = draw(st.floats(1.0, 100.0))
+    h = Operator(fock, np.diag(draw(st.floats(0.0, 1e3)) * np.arange(fock.dim)))
+    model = LindbladModel(h, tuple(heating_collapse_ops(HeatingChannel(n_dot), fock)))
+    times = np.linspace(0.0, draw(st.floats(0.1, 1.0)) / n_dot, 6)
+    return model, DensityMatrix(fock, rho0), n_dot, times
+
+
+@settings(max_examples=30)
+@given(_heated_fock_problems())
+def test_heated_run_keeps_trace_positivity_and_heating_rate(problem):
+    model, rho0, n_dot, times = problem
+    n0 = mean_phonon(rho0)
+    for state, ti in zip(evolve_lindblad(model, rho0, times), times):
+        # d<N>/dt = n_dot, to within ten times RK45's relative tolerance
+        assert mean_phonon(state) == pytest.approx(n0 + n_dot * ti,
+                                                   rel=10 * IntegratorConfig().rel_tol)
+        assert abs(np.trace(state.matrix) - 1.0) < 1e-8
+        # accepted again at the tolerances of an exactly constructed state
+        DensityMatrix(model.space, state.matrix)
+
+
+def _closed_blue_flop(space):
+    h = effective_two_level_hamiltonian(ETA, 61.2e3, 426.7e3, 426.7e3, space,
+                                        sideband="blue")
+    return LindbladModel(h), thermal_density(0.13, space)
+
+
+@pytest.mark.parametrize("entries, reason", [
+    ([(0, 0)], "trace drift nan"),
+    ([(0, 1), (1, 0)], "non-finite"),
+])
+def test_non_finite_output_is_an_integration_error(monkeypatch, entries, reason):
+    def nan_states(_h_mat, rho0_mat, t):
+        for _ in t:
+            rho = np.array(rho0_mat)
+            for idx in entries:
+                rho[idx] = np.nan
+            yield rho
+    monkeypatch.setattr(dynamics, "_propagate_closed", nan_states)
+    model, rho0 = _closed_blue_flop(two_level_space(4))
+    with pytest.raises(IntegrationError, match=reason):
+        evolve_lindblad(model, rho0, [1e-4])
+
+
+def test_asymmetric_output_is_not_hermitised_away(monkeypatch):
+    real = dynamics._propagate_closed
+
+    def skewed(*args):
+        for rho in real(*args):
+            rho[0, 1] += 1e-9
+            rho[1, 0] -= 1e-9
+            yield rho
+    monkeypatch.setattr(dynamics, "_propagate_closed", skewed)
+    model, rho0 = _closed_blue_flop(two_level_space(4))
+    with pytest.raises(IntegrationError, match="not Hermitian"):
+        evolve_lindblad(model, rho0, [1e-4])
 
 
 def test_scan_result_leaves_caller_arrays_writable():

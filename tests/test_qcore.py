@@ -7,6 +7,7 @@ than the asserted tolerance.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sbcool import (
     DensityMatrix,
@@ -138,6 +139,84 @@ def test_density_matrix_validation():
     bad3[0, 0], bad3[1, 1] = 1.5, -0.5  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(space, bad3)
+
+
+@pytest.mark.parametrize("entries", [[(1, 1)], [(0, 1), (1, 0)]])
+def test_density_matrix_rejects_non_finite_entries(entries):
+    mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    for idx in entries:
+        mat[idx] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(FockBasis(2), mat)
+
+
+def _rotated(eigs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """An exactly Hermitian matrix with spectrum eigs, up to roundoff."""
+    d = eigs.size
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    mat = (q * eigs) @ q.conj().T
+    return (mat + mat.conj().T) / 2.0
+
+
+@st.composite
+def _near_threshold_states(draw):
+    """Unit-trace Hermitian matrices, D <= 40, whose smallest eigenvalues lie
+    at +-(0.5..10) psd_tol, with a cluster of up to D - 1 just above it."""
+    dim = draw(st.integers(2, 40))
+    psd_tol = draw(st.sampled_from([1e-7, 1e-9]))
+    lam_min = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.5, 10.0)) * psd_tol
+    n_small = draw(st.integers(1, dim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    small = lam_min + rng.uniform(0.0, 10.0 * psd_tol, n_small)
+    small[0] = lam_min
+    rest = rng.uniform(0.1, 1.0, dim - n_small)
+    rest *= (1.0 - small.sum()) / rest.sum()
+    return _rotated(np.concatenate([small, rest]), rng), psd_tol
+
+
+@settings(max_examples=200)
+@given(_near_threshold_states())
+def test_positivity_certificate_decides_as_eigvalsh(problem):
+    mat, psd_tol = problem
+    min_eig = np.linalg.eigvalsh(mat).min()
+    assume(abs(min_eig + psd_tol) > 1e-12)
+    space = FockBasis(len(mat) - 1)
+    if min_eig >= -psd_tol:
+        assert np.array_equal(DensityMatrix(space, mat, psd_tol=psd_tol).matrix, mat)
+    else:
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            DensityMatrix(space, mat, psd_tol=psd_tol)
+
+
+@st.composite
+def _rank_deficient_states(draw):
+    """PSD states with exactly zero rows and columns outside their support."""
+    dim = draw(st.integers(2, 40))
+    support = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim - 1,
+                            unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = _rotated(rng.uniform(0.1, 1.0, len(support)), rng)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[np.ix_(support, support)] = block / np.trace(block).real
+    return mat
+
+
+@settings(max_examples=100)
+@given(_rank_deficient_states())
+def test_zero_psd_tol_decides_as_eigvalsh_on_rank_deficient_states(mat):
+    space = FockBasis(len(mat) - 1)
+    if np.linalg.eigvalsh(mat).min() >= 0.0:
+        DensityMatrix(space, mat, psd_tol=0.0)
+    else:
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            DensityMatrix(space, mat, psd_tol=0.0)
+
+
+def test_negative_state_names_its_min_eigenvalue():
+    mat = _rotated(np.array([-2e-9, 0.25, 0.75 + 2e-9]), np.random.default_rng(3))
+    with pytest.raises(ValueError, match=r"not positive semidefinite: "
+                                         r"min eigenvalue -2\.000e-09"):
+        DensityMatrix(FockBasis(2), mat)
 
 
 def test_thermal_density_population_placement():
