@@ -61,6 +61,13 @@ def _shots_arg(raw: str) -> int:
     return value
 
 
+def _jobs_arg(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError("jobs must be >= 1")
+    return value
+
+
 def _parse_overrides(pairs: list[str] | None) -> dict:
     out = {}
     for pair in pairs or []:
@@ -386,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("effective", "full_dressed"), default="effective")
     p.add_argument("--probe-heating", action="store_true",
                    help="include heating during the probe window")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1,
+                   help="processes for heated scan points; a closed scan is one batched solve")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("flop", parents=[common],

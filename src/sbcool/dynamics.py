@@ -5,19 +5,17 @@ The heating channel is the infinite-temperature electric-field-noise limit:
 jump operators sqrt(ndot) a' and sqrt(ndot) a with equal rates, which drives
 d<N>/dt = ndot for any state.
 
-evolve_lindblad takes one of two paths, chosen from its input.  A closed
-system (no nonzero collapse operator) is propagated exactly: H is split into
-the connected components of its sparsity graph, each of which spans an
-invariant subspace, and diagonalised block by block.  The effective model
-splits into 2x2 blocks, full_dressed into blocks of at most 4.  keep_carrier
-gives one block, still exact, where stepping would need prohibitively many
-steps to resolve the trap frequency.  Every other run builds the generator
-once, as one sparse superoperator on the row-major flattened density matrix,
-and integrates with RK45 only the entries in the connected components of its
-sparsity graph that hold rho0's nonzero entries; no term couples them to any
-other entry, so every other entry stays exactly zero.  For the sideband
-models with a diagonal rho0 that is the block of equal excitation number on
-both sides of rho.
+A closed system (no nonzero collapse operator) is propagated exactly, block
+by block of H: 2x2 blocks for the effective model, at most 4 for
+full_dressed, one with keep_carrier.  Closed scans, flops and scan_response
+share one engine, _closed_response, which reads every initial |0', n> at
+once from |U|^2 and forms no density matrix.  Every other run builds the
+generator once, as one sparse superoperator on the row-major flattened
+density matrix, and integrates with RK45 only the entries in the connected
+components of its sparsity graph that hold rho0's nonzero entries; no term
+couples them to any other entry, so every other entry stays exactly zero.
+For the sideband models with a diagonal rho0 that is the block of equal
+excitation number on both sides of rho.
 """
 
 from __future__ import annotations
@@ -173,6 +171,13 @@ def _nonempty_1d(values: Sequence[float], name: str) -> np.ndarray:
     return arr
 
 
+def _time_grid(times: Sequence[float]) -> np.ndarray:
+    t = _nonempty_1d(times, "times")
+    if t[0] < 0 or np.any(np.diff(t) <= 0):
+        raise ValueError("times must be strictly increasing and start at >= 0")
+    return t
+
+
 def evolve_lindblad(
     model: LindbladModel,
     rho0: DensityMatrix,
@@ -189,9 +194,7 @@ def evolve_lindblad(
     tolerances appropriate for integrator output; a state that fails them, or
     a trace drift beyond 1e-6, raises IntegrationError.
     """
-    t = _nonempty_1d(times, "times")
-    if t[0] < 0 or np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing and start at >= 0")
+    t = _time_grid(times)
     if rho0.space.dim != model.space.dim:
         raise ValueError("initial state dimension does not match model")
 
@@ -203,24 +206,24 @@ def evolve_lindblad(
     return _validated(model.space, rhos, t)
 
 
-def _propagate_closed(h_mat: np.ndarray, rho0_mat: np.ndarray,
-                      t: np.ndarray) -> Iterator[np.ndarray]:
-    """rho(t) = V (e^{-i Lambda t} . V' rho0 V . e^{i Lambda t}) V' exactly.
-
-    Each connected component of the sparsity graph of H spans an invariant
-    subspace, so H = V Lambda V' with V block-diagonal over the components.
-    Components of equal size are diagonalised in one batched eigh.  rho0 may
-    carry coherences between components.
-    """
+def _blocks(h_mat: np.ndarray) -> list[np.ndarray]:
+    """The invariant blocks of H, the connected components of its sparsity
+    graph: one index array per size, whose row k is the k-th such block."""
     _, labels = connected_components(sp.csr_array(h_mat != 0), directed=False)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return [order[starts[sizes == size][:, None] + np.arange(size)]
+            for size in np.unique(sizes)]
+
+
+def _propagate_closed(h_mat: np.ndarray, rho0_mat: np.ndarray,
+                      t: np.ndarray) -> Iterator[np.ndarray]:
+    """rho(t) = V (e^{-i Lambda t} . V' rho0 V . e^{i Lambda t}) V' exactly, with
+    V block-diagonal over _blocks(H); rho0 may couple blocks."""
     evals = np.empty(h_mat.shape[0])
     blocks = []
-    for size in np.unique(sizes):
-        # idx[k] lists the indices of the k-th component of this size
-        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+    for idx in _blocks(h_mat):
         w, v = np.linalg.eigh(h_mat[idx[:, :, None], idx[:, None, :]])
         evals[idx] = w
         blocks.append((idx, v))
@@ -333,10 +336,6 @@ def _check_top(top: float) -> None:
             f"top Fock level holds {top:.3e} > {TOP_LEVEL_TOL:.0e}; raise n_max")
 
 
-def _check_top_level(state: DensityMatrix) -> None:
-    _check_top(float(motional_populations(state)[-1]))
-
-
 def _dark_rows(space: ProductSpace) -> slice:
     """Indices of the |0'> rows: the dark outcome of the F=1 readout."""
     first = space.index("0'", 0)
@@ -344,11 +343,8 @@ def _dark_rows(space: ProductSpace) -> slice:
 
 
 def _p_f1(state: DensityMatrix) -> float:
-    """P(F=1) = 1 - P(|0'>): the diagonal outside the |0'> rows.
-
-    Ideal detection maps |0'> to the dark outcome and every other internal
-    level to the bright (F=1) outcome.
-    """
+    """P(F=1) = 1 - P(|0'>), the diagonal outside the |0'> rows: ideal detection
+    reads |0'> as dark and every other internal level as bright (F=1)."""
     return float(np.delete(state.populations(), _dark_rows(state.space)).sum())
 
 
@@ -484,34 +480,41 @@ def simulate_flop(
 
     The probe sits exactly on the addressed sideband; the initial state is
     |0'> (x) thermal(n_bar) or an explicit Fock distribution.  Truncation is
-    chosen by the documented cutoff policy and checked post hoc.
+    chosen by the documented cutoff policy and checked post hoc: at every
+    time of a closed flop, at the last time of a heated one.
     """
-    t = _nonempty_1d(times, "times")
+    t = _time_grid(times)
+    return ScanResult(t, _read_f1(probe, np.array([probe.resonance_hz()]), t,
+                                  initial, heating, cfg, n_max, jobs=1))
+
+
+def _read_f1(probe: SidebandProbe, deltas: np.ndarray, times: np.ndarray,
+             initial: InitialState, heating: HeatingChannel | None,
+             cfg: IntegratorConfig, n_max: int | None, jobs: int) -> np.ndarray:
+    """P(F=1) at every (detuning, time) pair, detuning-major: the closed
+    engine, or one RK45 run per detuning (in a pool when jobs > 1) if heated."""
     n_dot = heating.n_dot if heating is not None else 0.0
     if n_max is None:
-        n_max = _pick_n_max(initial, n_dot, float(t[-1]))
-    space = probe.space(n_max)
+        n_max = _pick_n_max(initial, n_dot, float(times[-1]))
     dist0 = _initial_distribution(initial, n_max)
-    rho0 = distribution_density(dist0, space, "0'")
-    h = probe.hamiltonian(space, probe.resonance_hz())
-    model = LindbladModel(h, _heating_ops(heating, space))
-    states = evolve_lindblad(model, rho0, t, cfg)
-    _check_top_level(states[-1])
-    return ScanResult(t, np.array([_p_f1(s) for s in states]))
+    if n_dot == 0.0:
+        return _closed_response(probe, deltas, times, n_max).p_f1(dist0.populations)
+    rho0 = distribution_density(dist0, probe.space(n_max), "0'")
+    collapse = tuple(heating_collapse_ops(heating, rho0.space))
+    tasks = [(probe, float(d), times, rho0, collapse, cfg) for d in deltas]
+    if jobs == 1:
+        return np.concatenate([_heated_point(task) for task in tasks])
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return np.concatenate(list(pool.map(_heated_point, tasks)))
 
 
-def _heating_ops(heating: HeatingChannel | None, space) -> tuple[Operator, ...]:
-    if heating is None or heating.n_dot == 0:
-        return ()
-    return tuple(heating_collapse_ops(heating, space))
-
-
-def _scan_point(args) -> float:
-    probe, delta_hz, t_probe, rho0, collapse, cfg = args
-    model = LindbladModel(probe.hamiltonian(rho0.space, delta_hz), collapse)
-    state = evolve_lindblad(model, rho0, [t_probe], cfg)[-1]
-    _check_top_level(state)
-    return _p_f1(state)
+def _heated_point(args) -> np.ndarray:
+    """P(F=1) at one detuning and every time; checks the last state's top level."""
+    probe, delta_hz, times, rho0, collapse, cfg = args
+    h = probe.hamiltonian(rho0.space, delta_hz)
+    states = evolve_lindblad(LindbladModel(h, collapse), rho0, times, cfg)
+    _check_top(float(motional_populations(states[-1])[-1]))
+    return np.array([_p_f1(s) for s in states])
 
 
 def _scan_grid(detunings_hz: Sequence[float], t_probe_s: float) -> np.ndarray:
@@ -531,38 +534,28 @@ def simulate_scan(
     n_max: int | None = None,
     jobs: int = 1,
 ) -> ScanResult:
-    """Spectrum: master-equation evolution for t_probe at each detuning.
+    """Spectrum: P(F=1) after t_probe at each detuning.
 
     detunings_hz are relative to the dressed carrier (so the addressed
-    sideband peaks at -nu_z for red, +nu_z for blue).  Points are independent;
-    jobs > 1 evaluates them in a process pool with output order fixed by the
-    input grid regardless of parallelism.
+    sideband peaks at -nu_z for red, +nu_z for blue).  A closed scan is one
+    batched exact solve; a heated scan integrates each detuning, in a pool of
+    jobs processes when jobs > 1, with output order fixed by the input grid.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     deltas = _scan_grid(detunings_hz, t_probe_s)
-    n_dot = heating.n_dot if heating is not None else 0.0
-    if n_max is None:
-        n_max = _pick_n_max(initial, n_dot, t_probe_s)
-    space = probe.space(n_max)
-    dist0 = _initial_distribution(initial, n_max)
-    rho0 = distribution_density(dist0, space, "0'")
-    collapse = _heating_ops(heating, space)
-
-    tasks = [(probe, float(d), float(t_probe_s), rho0, collapse, cfg) for d in deltas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            p = list(pool.map(_scan_point, tasks))
-    else:
-        p = [_scan_point(task) for task in tasks]
-    return ScanResult(deltas, np.asarray(p))
+    return ScanResult(deltas, _read_f1(probe, deltas, np.array([float(t_probe_s)]),
+                                       initial, heating, cfg, n_max, jobs))
 
 
 @dataclass(frozen=True)
 class ScanResponse:
-    """A scan as a linear map of the initial Fock populations of |0'>.
+    """A scan or flop as a linear map of the initial Fock populations of |0'>.
 
-    f1[i, n] is P(F=1) at scan point i for the initial state |0', n>, and
-    top[i, n] is the population that state leaves in the top Fock level.  A
-    diagonal initial state with populations p reads out f1 @ p.
+    f1[i, n] is P(F=1) at point i (a detuning or a time) for the initial
+    state |0', n>, and top[i, n] is the population that state leaves in the
+    top Fock level.  A diagonal initial state with populations p reads out
+    f1 @ p.
     """
 
     f1: np.ndarray
@@ -575,44 +568,49 @@ class ScanResponse:
         return self.f1 @ p
 
 
-def scan_response(
-    probe: SidebandProbe,
-    detunings_hz: Sequence[float],
-    t_probe_s: float,
-    n_max: int,
-    heating: HeatingChannel | None = None,
-) -> ScanResponse:
-    """Master-equation response of a scan to every initial level |0', n <= n_max>.
-
-    Built in the Heisenberg picture, two evolve_lindblad calls per detuning
-    instead of one per detuning and level: <O>(t) = Tr[O(t) rho0] with O(t)
-    evolved by the adjoint generator.  The heating jump set {a', a} is closed
-    under the adjoint, so the adjoint dissipator equals the forward one and
-    the adjoint generator is the forward one with H -> -H.  Both observables
-    are positive and trace-preserved, so they are evolved as the states
-    P_dark / Tr and (P_dark + P_top) / Tr and validated like any other
-    integrator output; the F=1 and top-level readouts of |0', n> are the
-    diagonal entries on the |0'> rows, scaled back by the traces.
-    """
+def scan_response(probe: SidebandProbe, detunings_hz: Sequence[float], t_probe_s: float,
+                  n_max: int) -> ScanResponse:
+    """Closed-system response of a scan to every initial level |0', n <= n_max>."""
     deltas = _scan_grid(detunings_hz, t_probe_s)
+    return _closed_response(probe, deltas, np.array([float(t_probe_s)]), n_max)
+
+
+def _closed_response(probe: SidebandProbe, deltas: np.ndarray, times: np.ndarray,
+                     n_max: int) -> ScanResponse:
+    """Exact closed response; row i * len(times) + j is deltas[i] at times[j].
+
+    Both Hamiltonian builders put the detuning only on the |0'><0'| (x) I
+    diagonal, so H(delta) = H(deltas[0]) + 2 pi (delta - deltas[0]) there and
+    H is built once.  The blocks of one size are diagonalised in one batched
+    eigh over (detuning, block).  |0', n> is a basis vector, so its readouts
+    are sums over its column of |U|^2 = |V e^{-i Lambda t} V'|^2; a column
+    sum off 1 by more than TRACE_DRIFT_ABORT raises IntegrationError.
+    """
     space = probe.space(n_max)
-    fd = space.fock.dim
-    rows = _dark_rows(space)
-    dark = np.zeros(space.dim)
-    dark[rows] = 1.0
-    top = np.zeros(space.dim)
-    top[fd - 1::fd] = 1.0  # level n_max of every spin state
-    watched = []
-    for obs in (dark, dark + top):
-        norm = float(obs.sum())
-        watched.append((norm, DensityMatrix(space, np.diag(obs / norm).astype(complex))))
-    collapse = _heating_ops(heating, space)
-    f1, top_rows = [], []
-    for delta in deltas:
-        model = LindbladModel(probe.hamiltonian(space, float(delta)) * -1.0, collapse)
-        dark_t, both_t = (
-            norm * evolve_lindblad(model, obs0, [t_probe_s])[-1].populations()[rows]
-            for norm, obs0 in watched)
-        f1.append(1.0 - dark_t)
-        top_rows.append(both_t - dark_t)
-    return ScanResponse(np.array(f1), np.array(top_rows))
+    h = LindbladModel(probe.hamiltonian(space, float(deltas[0]))).hamiltonian.matrix
+    fd, rows = space.fock.dim, _dark_rows(space)
+    dark = np.zeros(space.dim, dtype=bool)
+    dark[rows] = True
+    top = np.arange(space.dim) % fd == fd - 1  # level n_max of every spin state
+    f1 = np.empty((deltas.size, times.size, fd))
+    top_rows = np.empty_like(f1)
+    for idx in _blocks(h):
+        is_dark = dark[idx]
+        cols = np.flatnonzero(is_dark.any(axis=0))  # local columns to read
+        k, a = np.nonzero(is_dark)
+        hb = np.repeat(h[idx[:, :, None], idx[:, None, :]][None], deltas.size, axis=0)
+        hb[:, k, a, a] += 2.0 * math.pi * (deltas - deltas[0])[:, None]
+        w, v = np.linalg.eigh(hb)
+        vh_cols = v.conj().swapaxes(-1, -2)[..., cols]
+        read = is_dark[:, cols]
+        levels = idx[:, cols][read] - rows.start
+        for j, tj in enumerate(times):
+            u2 = np.abs(v @ (np.exp(-1j * w * tj)[..., None] * vh_cols)) ** 2
+            drift = np.max(np.abs(u2.sum(axis=-2)[:, read] - 1.0), initial=0.0)
+            if not drift <= TRACE_DRIFT_ABORT:  # NaN trips it too
+                raise IntegrationError(
+                    f"propagator column norm drifts by {drift:.3e} at t={tj:.6g} s, "
+                    f"beyond {TRACE_DRIFT_ABORT:.0e}")
+            f1[:, j, levels] = np.einsum("dkbc,kb->dkc", u2, ~is_dark)[:, read]
+            top_rows[:, j, levels] = np.einsum("dkbc,kb->dkc", u2, top[idx])[:, read]
+    return ScanResponse(f1.reshape(-1, fd), top_rows.reshape(-1, fd))

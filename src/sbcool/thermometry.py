@@ -294,15 +294,9 @@ def fit_nbar_spectra(
     than TOP_LEVEL_TOL in the top Fock level.  forward="analytic" builds it from
     the closed-form detuned line shape (equivalent to the effective
     master-equation scan and fast enough for Monte-Carlo studies);
-    forward="integrate", or model="full_dressed", builds it from the master
-    equation with scan_response.  omega_dr_hz only enters the full_dressed
-    forward.
-
-    The full_dressed response states stay well inside the PSD tolerance: for
-    the 1.27 ms reference probe the worst eigenvalue is -6.6e-9 at n_max 41
-    and levels off at -7.1e-9 from n_max 128 to 256 (the cutoff of a fit to
-    n_bar 2.9 data), so over that range full_dressed master-equation fits are
-    not limited to cold data.
+    forward="integrate", or model="full_dressed", builds it with
+    scan_response, the exact closed-system propagator of the probe
+    Hamiltonian.  omega_dr_hz only enters the full_dressed forward.
     """
     red_x = np.asarray(red.x, dtype=float)
     blue_x = np.asarray(blue.x, dtype=float)

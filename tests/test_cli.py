@@ -140,6 +140,31 @@ def test_exit_code_3_when_integrator_output_is_not_a_state(tmp_path, capsys):
     assert "numerical failure" in err and "not positive semidefinite" in err
 
 
+@pytest.mark.parametrize("broken", ["non-unitary", "nan"])
+def test_exit_code_3_when_the_closed_engine_loses_norm(tmp_path, capsys, monkeypatch, broken):
+    real = np.linalg.eigh
+
+    def bad_eigh(mat):
+        w, v = real(mat)
+        return w, v * 1.01 if broken == "non-unitary" else np.full_like(v, np.nan)
+    monkeypatch.setattr(np.linalg, "eigh", bad_eigh)
+    code = run(["scan", "--sideband", "red", "--points", "3", "--shots", "inf",
+                "--out", tmp_path / "scan.csv"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "propagator column norm drifts" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_scan_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        run(["scan", "--sideband", "red", "--points", "3", "--jobs", jobs,
+             "--out", tmp_path / "scan.csv"])
+    assert exc.value.code == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_manifest_records_main_argv(tmp_path):
     out = tmp_path / "scan.csv"
     argv = ["scan", "--sideband", "red", "--points", "3", "--shots", "inf",

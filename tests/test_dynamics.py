@@ -15,6 +15,7 @@ import sbcool.dynamics as dynamics
 from sbcool import (
     DensityMatrix,
     FockBasis,
+    FockDistribution,
     HeatingChannel,
     IntegrationError,
     IntegratorConfig,
@@ -23,12 +24,13 @@ from sbcool import (
     ScanResult,
     SidebandProbe,
     TruncationError,
-    scan_response,
     effective_two_level_hamiltonian,
     evolve_lindblad,
     evolve_unitary,
     heating_collapse_ops,
     mean_phonon,
+    motional_populations,
+    scan_response,
     sideband_probability,
     sideband_scan_probability,
     simulate_flop,
@@ -38,6 +40,8 @@ from sbcool import (
     two_level_space,
 )
 from sbcool.dynamics import _generator
+from sbcool.qcore import distribution_density
+from sbcool.thermometry import _line_shape
 
 ETA = 6.442436053e-03
 F1 = 394.2770864  # eta * 61.2 kHz
@@ -119,12 +123,20 @@ def test_thermal_ratio_identity_on_resonance():
 
 
 def test_scan_parallel_matches_serial():
+    # only heated points are integrated one by one, so only they reach the pool
     nu = 426.7e3
     grid = np.linspace(nu - 1000.0, nu + 1000.0, 6)
-    a = simulate_scan(resonant_probe("blue"), grid, 0.8e-3, 0.2, jobs=1)
-    b = simulate_scan(resonant_probe("blue"), grid, 0.8e-3, 0.2, jobs=2)
+    heating = HeatingChannel(41.0)
+    a = simulate_scan(resonant_probe("blue"), grid, 0.8e-3, 0.2, heating, n_max=10, jobs=1)
+    b = simulate_scan(resonant_probe("blue"), grid, 0.8e-3, 0.2, heating, n_max=10, jobs=2)
     assert np.array_equal(a.x, b.x)
     assert np.max(np.abs(a.p_f1 - b.p_f1)) < 1e-12
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_scan_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        simulate_scan(resonant_probe("blue"), [426.7e3], 1e-3, 0.1, jobs=jobs)
 
 
 def test_truncation_guard_trips_when_space_too_small():
@@ -134,18 +146,121 @@ def test_truncation_guard_trips_when_space_too_small():
                       heating=HeatingChannel(500.0), n_max=8)
 
 
+def _forward_readout(probe, delta_hz, times, rho0):
+    """P(F=1) and top-level population by evolve_lindblad, one solve per call."""
+    model = LindbladModel(probe.hamiltonian(rho0.space, delta_hz))
+    states = evolve_lindblad(model, rho0, times)
+    return (np.array([dynamics._p_f1(s) for s in states]),
+            np.array([motional_populations(s)[-1] for s in states]))
+
+
 @pytest.mark.parametrize("model", ["effective", "full_dressed"])
 @pytest.mark.parametrize("sideband", ["red", "blue"])
-@pytest.mark.parametrize("n_dot", [0.0, 41.0])
-def test_scan_response_matches_simulate_scan(model, sideband, n_dot):
-    probe = resonant_probe(sideband, model)
+@pytest.mark.parametrize("keep_carrier", [False, True])
+def test_scan_response_matches_forward_solves(model, sideband, keep_carrier):
+    # every column |0', n> against its own forward solve, which runs the
+    # independent density-matrix propagation of evolve_lindblad
+    probe = SidebandProbe(sideband=sideband, model=model, keep_carrier=keep_carrier)
     grid = probe.resonance_hz() + np.array([-1500.0, 0.0, 700.0])
-    heating = HeatingChannel(n_dot) if n_dot > 0 else None
+    n_max = 6
+    response = scan_response(probe, grid, 1.27e-3, n_max)
+    space = probe.space(n_max)
+    for n in range(n_max + 1):
+        rho0 = distribution_density(FockDistribution(np.eye(n_max + 1)[n]), space, "0'")
+        for i, delta in enumerate(grid):
+            f1, top = _forward_readout(probe, delta, [1.27e-3], rho0)
+            assert abs(response.f1[i, n] - f1[0]) < 1e-12
+            assert abs(response.top[i, n] - top[0]) < 1e-12
+
+
+@pytest.mark.parametrize("sideband", ["red", "blue"])
+def test_scan_response_matches_line_shape(sideband):
+    probe = resonant_probe(sideband)
+    grid = probe.resonance_hz() + np.linspace(-3000.0, 3000.0, 13)
+    n_max = 10
+    response = scan_response(probe, grid, 1.27e-3, n_max)
+    line = _line_shape(grid, sideband, probe.effective_sideband_rabi_hz,
+                       probe.trap.nu_z_hz, 1.27e-3, n_max)
+    # the blue n_max column has no |D, n_max + 1> to transfer to
+    cols = n_max if sideband == "blue" else n_max + 1
+    assert np.max(np.abs(response.f1[:, :cols] - line[:, :cols])) < 1e-12
+
+
+@pytest.mark.parametrize("model", ["effective", "full_dressed"])
+def test_closed_flop_matches_lindblad_time_series(model):
+    probe = resonant_probe("blue", model)
+    times = np.linspace(0.0, 4e-3, 17)
     n_max = 12
-    response = scan_response(probe, grid, 1.27e-3, n_max, heating=heating)
-    direct = simulate_scan(probe, grid, 1.27e-3, 0.13, heating=heating, n_max=n_max)
-    p = thermal_distribution(0.13, n_max).populations
-    assert np.max(np.abs(response.p_f1(p) - direct.p_f1)) < 1e-7
+    flop = simulate_flop(probe, times, 0.3, n_max=n_max)
+    rho0 = distribution_density(thermal_distribution(0.3, n_max), probe.space(n_max), "0'")
+    f1, _ = _forward_readout(probe, probe.resonance_hz(), times, rho0)
+    assert np.max(np.abs(flop.p_f1 - f1)) < 1e-12
+
+
+@st.composite
+def _scan_readouts(draw):
+    probe = SidebandProbe(sideband=draw(st.sampled_from(["red", "blue"])),
+                          model=draw(st.sampled_from(["effective", "full_dressed"])))
+    offsets = draw(st.lists(st.floats(-3000.0, 3000.0), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)
+                   .filter(lambda w: sum(w) > 0.1))
+    pops = np.array(weights) / sum(weights)
+    return probe, probe.resonance_hz() + np.sort(offsets), pops
+
+
+@settings(max_examples=25)
+@given(_scan_readouts())
+def test_response_readout_is_the_forward_solve(problem):
+    probe, grid, pops = problem
+    n_max = pops.size - 1
+    rho0 = distribution_density(FockDistribution(pops), probe.space(n_max), "0'")
+    readout = scan_response(probe, grid, 1.27e-3, n_max).f1 @ pops
+    for delta, value in zip(grid, readout):
+        assert abs(value - _forward_readout(probe, delta, [1.27e-3], rho0)[0][0]) < 1e-12
+
+
+@pytest.mark.parametrize("broken", ["non-unitary", "nan"])
+def test_engine_guard_trips_on_bad_eigenvectors(monkeypatch, broken):
+    real = np.linalg.eigh
+
+    def bad_eigh(mat):
+        w, v = real(mat)
+        return w, v * 1.01 if broken == "non-unitary" else np.full_like(v, np.nan)
+    monkeypatch.setattr(np.linalg, "eigh", bad_eigh)
+    probe = resonant_probe("blue")
+    with pytest.raises(IntegrationError, match="propagator column norm drifts"):
+        scan_response(probe, [probe.resonance_hz()], 1.27e-3, 8)
+    with pytest.raises(IntegrationError, match="propagator column norm drifts"):
+        simulate_flop(probe, [0.0, 1e-3], 0.13)
+
+
+def test_engine_rejects_non_hermitian_hamiltonian(monkeypatch):
+    real = dynamics.effective_two_level_hamiltonian
+
+    def skewed(*args, **kwargs):
+        h = real(*args, **kwargs)
+        mat = h.matrix.copy()
+        mat[0, 1] += 1.0
+        return Operator(h.space, mat)
+    monkeypatch.setattr(dynamics, "effective_two_level_hamiltonian", skewed)
+    probe = resonant_probe("blue")
+    with pytest.raises(ValueError, match="not Hermitian"):
+        scan_response(probe, [probe.resonance_hz()], 1.27e-3, 8)
+
+
+@pytest.mark.parametrize("times", [[-1e-4, 1e-3], [0.0, 1e-3, 1e-3], [1e-3, 5e-4]])
+def test_closed_flop_rejects_bad_time_grids(times):
+    with pytest.raises(ValueError, match="strictly increasing and start at >= 0"):
+        simulate_flop(resonant_probe("blue"), times, 0.13)
+
+
+def test_closed_scan_and_flop_trip_the_top_level_guard():
+    probe = resonant_probe("blue")
+    simulate_scan(probe, [probe.resonance_hz()], 1.27e-3, 0.13, n_max=12)
+    with pytest.raises(TruncationError, match="top Fock level"):
+        simulate_scan(probe, [probe.resonance_hz()], 1.27e-3, 2.0, n_max=8)
+    with pytest.raises(TruncationError, match="top Fock level"):
+        simulate_flop(probe, [0.0, 1e-3], 2.0, n_max=8)
 
 
 def test_scan_response_top_guard_trips_when_space_too_small():
