@@ -260,8 +260,8 @@ def heat_distribution(dist: FockDistribution, n_dot: float, dt: float) -> FockDi
 class CoolingResult:
     """Final distribution plus the n_bar trajectory, one row per sideband pulse.
 
-    Row 0 is the initial state; row k holds n_bar and elapsed time after the
-    k-th sideband pulse and its repump.
+    Row 0 is the initial state; row k holds n_bar right after the k-th
+    sideband pulse, before its repump, and the elapsed time after both.
     """
 
     final: FockDistribution

@@ -5,17 +5,14 @@ The heating channel is the infinite-temperature electric-field-noise limit:
 jump operators sqrt(ndot) a' and sqrt(ndot) a with equal rates, which drives
 d<N>/dt = ndot for any state.
 
-A closed system (no nonzero collapse operator) is propagated exactly, block
-by block of H: 2x2 blocks for the effective model, at most 4 for
-full_dressed, one with keep_carrier.  Closed scans, flops and scan_response
-share one engine, _closed_response, which reads every initial |0', n> at
-once from |U|^2 and forms no density matrix.  Every other run builds the
-generator once, as one sparse superoperator on the row-major flattened
-density matrix, and integrates with RK45 only the entries in the connected
-components of its sparsity graph that hold rho0's nonzero entries; no term
-couples them to any other entry, so every other entry stays exactly zero.
-For the sideband models with a diagonal rho0 that is the block of equal
-excitation number on both sides of rho.
+Both propagation paths start from one eigendecomposition of H, block by
+block: 2x2 blocks for the effective model, at most 4 for full_dressed, one
+with keep_carrier.  A closed system (no nonzero collapse operator) is
+propagated exactly; closed scans, flops and scan_response share one engine,
+_closed_response, which reads every initial |0', n> at once from |U|^2.  A
+heated run steps RK45 in the interaction picture of H, where the right-hand
+side is the dissipator alone, on the entries of rho reachable from rho0
+(_reachable); every other entry stays exactly zero.
 """
 
 from __future__ import annotations
@@ -95,8 +92,8 @@ class IntegratorConfig:
     rel_tol     relative tolerance
     abs_tol     absolute tolerance
 
-    A closed system (no nonzero collapse operator) is propagated exactly by
-    eigendecomposition instead of stepped, so neither applies to it.
+    They govern the interaction-picture state e^{iHt} rho e^{-iHt}, moved by
+    the dissipator alone; H's rotation, and any closed system, is exact.
     """
 
     rel_tol: float = 1e-8
@@ -146,22 +143,43 @@ def _nonzero_ops(ops: Sequence[Operator]) -> list[np.ndarray]:
     return [op.matrix for op in ops if np.abs(op.matrix).max() > 0.0]
 
 
-def _generator(h_mat: np.ndarray, l_mats: list[np.ndarray]) -> sp.csr_array:
-    """-i[H, .] + sum_k D[L_k] as a sparse matrix on row-major vec(rho).
-
-    Built from vec(A rho B) = (A kron B.T) vec(rho), every term literally
+def _generator(h_mat: np.ndarray, l_mats: list,
+               keep: np.ndarray | None = None) -> sp.csr_array:
+    """-i[H, .] + sum_k D[L_k] as a sparse matrix on row-major vec(rho), on
+    the flat indices keep (all by default).  Every term is built literally
     (no rho = rho' shortcut): shortcuts of that kind make roundoff-sized
-    Hermiticity errors grow exponentially under strong dissipation instead of
-    staying contractive.
-    """
-    eye = sp.eye_array(h_mat.shape[0], dtype=complex, format="csr")
+    Hermiticity errors grow exponentially under strong dissipation."""
+    dim = h_mat.shape[0]
+    eye = sp.eye_array(dim, dtype=complex, format="csr")
     h = sp.csr_array(h_mat)
-    gen = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+    terms = [(-1j * h, eye), (eye, 1j * h)]
     for l_mat in l_mats:
         l = sp.csr_array(l_mat)
         ldl = l.conj().T @ l
-        gen = gen + sp.kron(l, l.conj()) - 0.5 * (sp.kron(ldl, eye) + sp.kron(eye, ldl.T))
-    return sp.csr_array(gen)
+        terms += [(l, l.conj().T), (-0.5 * ldl, eye), (eye, -0.5 * ldl)]
+    return _superop(terms, np.arange(dim * dim) if keep is None else keep)
+
+
+def _superop(terms: list, keep: np.ndarray) -> sp.csr_array:
+    """sum of rho -> A rho B over terms (A, B) as a sparse matrix on the flat
+    indices keep, formed on those alone: (k, l) feeds (i, j) by A[i, k] B[l, j]."""
+    dim = terms[0][0].shape[0]
+    pos = np.full(dim * dim, -1)
+    pos[keep] = np.arange(keep.size)
+    k, l = np.divmod(keep, dim)
+    parts = []
+    for a, b in terms:
+        a, b = sp.csc_array(a), sp.csr_array(b)
+        nb = np.diff(b.indptr)[l]
+        count = np.diff(a.indptr)[k] * nb
+        col = np.repeat(np.arange(keep.size), count)
+        off = np.arange(col.size) - np.repeat(np.cumsum(count) - count, count)
+        ia = a.indptr[k][col] + off // nb[col]
+        jb = b.indptr[l][col] + off % nb[col]
+        # keep is closed under every term, so no row falls off it (pos -1)
+        parts.append((a.data[ia] * b.data[jb], pos[a.indices[ia] * dim + b.indices[jb]], col))
+    vals, rows, cols = map(np.concatenate, zip(*parts))
+    return sp.csr_array((vals, (rows, cols)), shape=(keep.size, keep.size))
 
 
 def _nonempty_1d(values: Sequence[float], name: str) -> np.ndarray:
@@ -189,10 +207,11 @@ def evolve_lindblad(
     times must be strictly increasing and start at >= 0; evolution always
     starts from t = 0 with rho0.  A closed system (no nonzero collapse
     operator) is propagated exactly, block by block of H; anything else is
-    integrated with RK45 on the reachable entries of the generator.  Output
-    states are validated (finite, Hermitian, unit trace, positive) with
-    tolerances appropriate for integrator output; a state that fails them, or
-    a trace drift beyond 1e-6, raises IntegrationError.
+    integrated with RK45 on the entries reachable from rho0 in the
+    interaction picture of H.  Output states are validated (finite,
+    Hermitian, unit trace, positive) with tolerances appropriate for
+    integrator output; a state that fails them, or a trace drift beyond
+    1e-6, raises IntegrationError.
     """
     t = _time_grid(times)
     if rho0.space.dim != model.space.dim:
@@ -217,16 +236,23 @@ def _blocks(h_mat: np.ndarray) -> list[np.ndarray]:
             for size in np.unique(sizes)]
 
 
-def _propagate_closed(h_mat: np.ndarray, rho0_mat: np.ndarray,
-                      t: np.ndarray) -> Iterator[np.ndarray]:
-    """rho(t) = V (e^{-i Lambda t} . V' rho0 V . e^{i Lambda t}) V' exactly, with
-    V block-diagonal over _blocks(H); rho0 may couple blocks."""
+def _eig_blocks(h_mat: np.ndarray) -> tuple[np.ndarray, list]:
+    """H = V Lambda V' with V block-diagonal over _blocks(H): the eigenvalues,
+    and per block size its index rows with one batched eigh's eigenvectors."""
     evals = np.empty(h_mat.shape[0])
     blocks = []
     for idx in _blocks(h_mat):
         w, v = np.linalg.eigh(h_mat[idx[:, :, None], idx[:, None, :]])
         evals[idx] = w
         blocks.append((idx, v))
+    return evals, blocks
+
+
+def _propagate_closed(h_mat: np.ndarray, rho0_mat: np.ndarray,
+                      t: np.ndarray) -> Iterator[np.ndarray]:
+    """rho(t) = V (e^{-i Lambda t} . V' rho0 V . e^{i Lambda t}) V' exactly;
+    rho0 may couple blocks."""
+    evals, blocks = _eig_blocks(h_mat)
 
     def left(mat: np.ndarray, adjoint: bool) -> np.ndarray:
         """V' @ mat if adjoint else V @ mat, one block of rows at a time."""
@@ -243,35 +269,78 @@ def _propagate_closed(h_mat: np.ndarray, rho0_mat: np.ndarray,
         yield left(left(rho_t.conj().T, False).conj().T, False)
 
 
+def _reachable(h_mat: np.ndarray, l_mats: list[np.ndarray],
+               rho0_mat: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the entries of rho reachable from rho0's, from
+    sparsity alone.  H links each rectangle (block P) x (block Q) of its
+    blocks within itself; with each block lumped into one level, the set is
+    the weak components of the generator's graph that hold rho0's entries."""
+    n, labels = connected_components(sp.csr_array(h_mat != 0), directed=False)
+    eye, terms = sp.eye_array(n), []
+    for l_mat in l_mats:
+        rows, cols = np.nonzero(l_mat)
+        l = sp.csr_array((np.ones(rows.size), (labels[rows], labels[cols])), shape=(n, n))
+        # positive weights: no two terms can cancel a link
+        terms += [(l, l.T), (l.T @ l, eye), (eye, l.T @ l)]
+    _, comp = connected_components(_superop(terms, np.arange(n * n)), directed=False)
+    rows, cols = np.nonzero(rho0_mat)
+    kept = np.isin(comp, comp[labels[rows] * n + labels[cols]])
+    return np.flatnonzero(kept[labels[:, None] * n + labels[None, :]])
+
+
 def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray,
                t: np.ndarray, cfg: IntegratorConfig) -> Iterator[np.ndarray]:
-    """Integrate the generator on the entries reachable from rho0."""
+    """RK45 on the reachable entries in the interaction picture of H: in H's
+    eigenbasis rho_ab = phi_ab y_ab, phi_ab = e^{-i (lambda_a - lambda_b) t},
+    and dy/dt = conj(phi) (D~ (phi y)) with D~ = sum_k D[V' L_k V], the
+    dissipator alone.  V maps each reachable rectangle to itself.  D~ and V
+    act as sparse matrices on the m kept entries, or, for blocks of s levels
+    with m s^2 > D^3, as dense products on the full matrix."""
     dim = h_mat.shape[0]
-    gen = _generator(h_mat, l_mats)
-    rho0_vec = np.array(rho0_mat, dtype=complex).reshape(-1)
-    # Integrate only the weakly connected components that hold rho0's
-    # nonzero entries: nothing feeds the rest, which stays exactly zero.
-    _, labels = connected_components(gen != 0, directed=True, connection="weak")
-    keep = np.flatnonzero(np.isin(labels, labels[rho0_vec != 0]))
-    sub = gen[keep][:, keep]
-    y0 = rho0_vec[keep]
+    evals, blocks = _eig_blocks(h_mat)
+    vd = np.zeros_like(h_mat)
+    for idx, vb in blocks:
+        vd[idx[:, :, None], idx[:, None, :]] = vb
+    v = sp.csr_array(vd)
+    vh = v.conj().T
+    keep = _reachable(h_mat, l_mats, rho0_mat)
+    rate = -1j * (evals[:, None] - evals).reshape(-1)[keep]
+    ls = [vh @ sp.csr_array(l) @ v for l in l_mats]
 
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        return sub @ y
+    def full(x: np.ndarray) -> np.ndarray:
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat.flat[keep] = x
+        return mat
 
-    if t[-1] == 0.0:
-        ys = [y0]
-    else:
-        sol = solve_ivp(rhs, (0.0, float(t[-1])), y0, method="RK45", t_eval=t,
+    s = max(idx.shape[1] for idx, _ in blocks)
+    if keep.size * s * s <= dim ** 3:  # about m s^2 entries each
+        dis = _generator(sp.csr_array(h_mat.shape, dtype=complex), ls, keep).__matmul__
+        back = _superop([(v, vh)], keep).__matmul__
+    else:  # large blocks would fill both (up to m^2 entries): dense products
+        pairs = [(l.toarray(), l.conj().T.toarray()) for l in ls]
+        drain = sum(-0.5 * lh @ l for l, lh in pairs)
+
+        def dis(x: np.ndarray) -> np.ndarray:
+            mat = full(x)
+            out = drain @ mat + mat @ drain + sum(l @ mat @ lh for l, lh in pairs)
+            return out.reshape(-1)[keep]
+
+        def back(x: np.ndarray) -> np.ndarray:
+            return (vd @ full(x) @ vd.conj().T).reshape(-1)[keep]
+
+    def rhs(ti: float, y: np.ndarray) -> np.ndarray:
+        phase = np.exp(rate * ti)
+        return phase.conj() * dis(phase * y)
+
+    ys = (vh @ np.asarray(rho0_mat, dtype=complex) @ v).reshape(-1)[keep][:, None]
+    if t[-1] > 0.0:
+        sol = solve_ivp(rhs, (0.0, float(t[-1])), ys[:, 0], method="RK45", t_eval=t,
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
         if not sol.success:
             raise IntegrationError(f"integrator failed: {sol.message}")
-        ys = sol.y.T
-
-    for y in ys:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho.flat[keep] = y
-        yield rho
+        ys = sol.y
+    for ti, y in zip(t, ys.T):
+        yield full(back(np.exp(rate * ti) * y))
 
 
 def _validated(space, rhos: Iterable[np.ndarray], t: np.ndarray) -> list[DensityMatrix]:

@@ -168,21 +168,26 @@ class DensityMatrix:
     psd_tol: float = field(default=PSD_TOL, repr=False)
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex)  # only read: herm is stored
         _check_square(mat, self.space.dim, "density matrix")
-        if not np.isfinite(mat).all():
+        adj = mat.conj().T
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as it should be
+            herm_dev = np.abs(mat - adj).max()
+        if not np.isfinite(herm_dev):  # iff an entry is NaN or infinite
             raise ValueError("non-finite entries")
-        herm_dev = np.abs(mat - mat.conj().T).max()
         if herm_dev > self.herm_tol:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
         tr = mat.trace()
         if abs(tr - 1.0) > self.trace_tol:
             raise ValueError(f"trace {tr:.12g} differs from 1 by {abs(tr - 1.0):.3e}")
-        herm = (mat + mat.conj().T) / 2.0
+        herm = (mat + adj) / 2.0
         # A Cholesky factor of herm + psd_tol I proves min eigenvalue > -psd_tol
         # to the eigensolver's own roundoff; only a failed factorisation pays
-        # for the spectrum.
-        if lapack.zpotrf(herm + self.psd_tol * np.eye(len(herm)), clean=False)[1]:
+        # for the spectrum.  herm is exactly Hermitian, so the transpose (its
+        # conjugate) of the shifted copy factors alike, in place.
+        shifted = herm.copy()
+        shifted.flat[::len(herm) + 1] += self.psd_tol
+        if lapack.zpotrf(shifted.T, overwrite_a=True, clean=False)[1]:
             min_eig = float(np.linalg.eigvalsh(herm).min())
             if min_eig < -self.psd_tol:
                 raise ValueError(

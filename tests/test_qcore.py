@@ -141,11 +141,15 @@ def test_density_matrix_validation():
         DensityMatrix(space, bad3)
 
 
-@pytest.mark.parametrize("entries", [[(1, 1)], [(0, 1), (1, 0)]])
+@pytest.mark.parametrize("entries", [
+    [(1, 1)], [(0, 1), (1, 0)],
+    # infinities, alone, mirrored or imaginary, are caught as NaN is
+    [(1, 1, np.inf)], [(0, 1, np.inf), (1, 0, np.inf)], [(2, 0, complex(0.0, np.inf))],
+])
 def test_density_matrix_rejects_non_finite_entries(entries):
     mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
-    for idx in entries:
-        mat[idx] = np.nan
+    for i, j, *value in entries:
+        mat[i, j] = value[0] if value else np.nan
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix(FockBasis(2), mat)
 
