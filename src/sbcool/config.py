@@ -16,7 +16,7 @@ from pathlib import Path
 from .cooling import RepumpModel
 from .dynamics import HeatingChannel, IntegratorConfig, SidebandProbe
 from .errors import ConfigError
-from .ion import TrapParams
+from .ion import TrapParams, lamb_dicke_eff
 
 __all__ = ["ExperimentConfig", "parse_config_text", "load_config", "CONFIG_ENV_VAR"]
 
@@ -74,7 +74,6 @@ class ExperimentConfig:
         return TrapParams(self.mass_amu, self.nu_z_hz, self.gradient_t_m)
 
     def eta_eff(self) -> float:
-        from .ion import lamb_dicke_eff
         return lamb_dicke_eff(self.trap())
 
     def sideband_rabi_1_hz(self) -> float:

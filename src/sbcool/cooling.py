@@ -8,11 +8,12 @@ each pulse, and motional heating acts as a birth-death process over each
 pulse's wall-clock duration.
 
 Heating is propagated exactly in the eigenbasis of its symmetric tridiagonal
-generator, from one eigh_tridiagonal per run.  Windows with nothing between
-them are one propagation, so heating is deferred: after each transfer the
-rate map keeps the eigen-coordinates and sums the heating that follows, reads
-each n_bar row and top-bin population from them, and forms the population
-vector only before the next transfer, before a recoil step and at the end.
+generator, from one eigh_tridiagonal per run, imported from scipy.linalg
+when the propagator is built.  Windows with nothing between them are one
+propagation, so heating is deferred: after each transfer the rate map keeps
+the eigen-coordinates and sums the heating that follows, reads each n_bar row
+and top-bin population from them, and forms the population vector only
+before the next transfer, before a recoil step and at the end.
 A recoil-free cycle therefore costs two D x D products.  The top-bin guard
 (TOP_BIN_TOL) is checked after every schedule entry; the negative-roundoff
 bound (CLIP_TOL) on every formed heated state and on every master-equation
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import IntegrationError, TruncationError
 from .dynamics import (
@@ -221,6 +221,7 @@ class _HeatingPropagator:
     """
 
     def __init__(self, n_max: int) -> None:
+        from scipy.linalg import eigh_tridiagonal
         n = np.arange(n_max + 1.0)
         diag = -(2.0 * n + 1.0)
         diag[-1] = -float(n_max)  # no birth out of the top bin

@@ -13,19 +13,19 @@ _closed_response, which reads every initial |0', n> at once from |U|^2.  A
 heated run steps RK45 in the interaction picture of H, where the right-hand
 side is the dissipator alone, on the entries of rho reachable from rho0
 (_reachable); every other entry stays exactly zero.
+
+Only heated runs import scipy (sparse, csgraph, integrate) and, with jobs > 1,
+concurrent.futures; closed runs and fits need numpy alone, since _components
+labels H's blocks in csgraph's order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import IntegrationError, TruncationError
 from .ion import (
@@ -34,6 +34,7 @@ from .ion import (
     build_dressed_rf_hamiltonian,
     effective_two_level_hamiltonian,
     four_level_space,
+    lamb_dicke_eff,
     two_level_space,
 )
 from .qcore import (
@@ -50,6 +51,9 @@ from .qcore import (
     tensor,
     thermal_distribution,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "HeatingChannel",
@@ -149,6 +153,7 @@ def _generator(h_mat: np.ndarray, l_mats: list,
     the flat indices keep (all by default).  Every term is built literally
     (no rho = rho' shortcut): shortcuts of that kind make roundoff-sized
     Hermiticity errors grow exponentially under strong dissipation."""
+    import scipy.sparse as sp
     dim = h_mat.shape[0]
     eye = sp.eye_array(dim, dtype=complex, format="csr")
     h = sp.csr_array(h_mat)
@@ -163,6 +168,7 @@ def _generator(h_mat: np.ndarray, l_mats: list,
 def _superop(terms: list, keep: np.ndarray) -> sp.csr_array:
     """sum of rho -> A rho B over terms (A, B) as a sparse matrix on the flat
     indices keep, formed on those alone: (k, l) feeds (i, j) by A[i, k] B[l, j]."""
+    import scipy.sparse as sp
     dim = terms[0][0].shape[0]
     pos = np.full(dim * dim, -1)
     pos[keep] = np.arange(keep.size)
@@ -225,10 +231,29 @@ def evolve_lindblad(
     return _validated(model.space, rhos, t)
 
 
+def _components(linked: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, labels) of the connected components of the undirected graph
+    with an edge wherever the boolean matrix linked is true, numbered in order
+    of their lowest node as scipy.sparse.csgraph.connected_components numbers
+    them.  Union-find whose every root is the lowest node of its set."""
+    root = list(range(linked.shape[0]))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]  # path halving
+        return i
+
+    for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(linked | linked.T, 1)))):
+        a, b = find(i), find(j)
+        root[max(a, b)] = min(a, b)
+    lowest, labels = np.unique([find(i) for i in range(len(root))], return_inverse=True)
+    return lowest.size, labels
+
+
 def _blocks(h_mat: np.ndarray) -> list[np.ndarray]:
     """The invariant blocks of H, the connected components of its sparsity
     graph: one index array per size, whose row k is the k-th such block."""
-    _, labels = connected_components(sp.csr_array(h_mat != 0), directed=False)
+    _, labels = _components(h_mat != 0)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
@@ -275,7 +300,9 @@ def _reachable(h_mat: np.ndarray, l_mats: list[np.ndarray],
     sparsity alone.  H links each rectangle (block P) x (block Q) of its
     blocks within itself; with each block lumped into one level, the set is
     the weak components of the generator's graph that hold rho0's entries."""
-    n, labels = connected_components(sp.csr_array(h_mat != 0), directed=False)
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+    n, labels = _components(h_mat != 0)
     eye, terms = sp.eye_array(n), []
     for l_mat in l_mats:
         rows, cols = np.nonzero(l_mat)
@@ -296,6 +323,7 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
     dissipator alone.  V maps each reachable rectangle to itself.  D~ and V
     act as sparse matrices on the m kept entries, or, for blocks of s levels
     with m s^2 > D^3, as dense products on the full matrix."""
+    import scipy.sparse as sp
     dim = h_mat.shape[0]
     evals, blocks = _eig_blocks(h_mat)
     vd = np.zeros_like(h_mat)
@@ -341,6 +369,12 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
         ys = sol.y
     for ti, y in zip(t, ys.T):
         yield full(back(np.exp(rate * ti) * y))
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first heated run."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _validated(space, rhos: Iterable[np.ndarray], t: np.ndarray) -> list[DensityMatrix]:
@@ -472,7 +506,6 @@ class SidebandProbe:
 
     @property
     def eta_eff(self) -> float:
-        from .ion import lamb_dicke_eff
         return lamb_dicke_eff(self.trap)
 
     @property
@@ -573,6 +606,7 @@ def _read_f1(probe: SidebandProbe, deltas: np.ndarray, times: np.ndarray,
     tasks = [(probe, float(d), times, rho0, collapse, cfg) for d in deltas]
     if jobs == 1:
         return np.concatenate([_heated_point(task) for task in tasks])
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return np.concatenate(list(pool.map(_heated_point, tasks)))
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-import scipy.constants as _sc
 
 from .qcore import (
     FockBasis,
@@ -74,18 +73,18 @@ Sideband = Literal["red", "blue"]
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA values used in derived quantities (SI).
+    """CODATA 2022 values used in derived quantities (SI), as literals.
 
-    hbar    1.054572e-34 J s
+    hbar    1.054572e-34 J s (exact: h / 2 pi, h = 6.62607015e-34 J s)
     mu_b    9.274010e-24 J/T
-    e       1.602177e-19 C
+    e       1.602177e-19 C (exact)
     amu     1.660539e-27 kg
     """
 
-    hbar: float = _sc.hbar
-    mu_b: float = _sc.physical_constants["Bohr magneton"][0]
-    e: float = _sc.elementary_charge
-    amu: float = _sc.physical_constants["atomic mass constant"][0]
+    hbar: float = 6.62607015e-34 / (2 * math.pi)
+    mu_b: float = 9.2740100657e-24
+    e: float = 1.602176634e-19
+    amu: float = 1.66053906892e-27
 
 
 CODATA = PhysicalConstants()

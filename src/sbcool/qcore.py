@@ -4,6 +4,8 @@ Basis ordering is spin-major throughout: the product-space index of |s, n> is
 s * (n_max + 1) + n, i.e. matrices are built as kron(spin_part, fock_part).
 All public types are immutable after construction (frozen dataclasses holding
 read-only arrays) and therefore safe to share across worker processes.
+DensityMatrix imports scipy's LAPACK binding where it checks a state, so
+building operators loads no scipy module.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "FockBasis",
@@ -168,6 +169,7 @@ class DensityMatrix:
     psd_tol: float = field(default=PSD_TOL, repr=False)
 
     def __post_init__(self) -> None:
+        from scipy.linalg import lapack
         mat = np.asarray(self.matrix, dtype=complex)  # only read: herm is stored
         _check_square(mat, self.space.dim, "density matrix")
         adj = mat.conj().T

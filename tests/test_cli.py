@@ -1,9 +1,15 @@
 """End-to-end command-line tests (in-process main())."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import sbcool
 
 from sbcool.cli import FIT_HEADER, RATE_HEADER, main
 from sbcool.runio import FLOP_HEADER, HEATRATE_HEADER, SCAN_HEADER, read_csv
@@ -235,3 +241,50 @@ def test_repro_fig2_bundle(tmp_path, capsys):
     rate = _printed(capsys.readouterr().out, "ndot_per_s")
     assert rate == pytest.approx(report["ndot_per_s"][0], rel=1e-5)
     assert rate == pytest.approx(41.0, abs=4.0)
+
+
+# Runs in one fresh interpreter: every command through cli.main in turn, with
+# the scipy modules loaded after each stage printed as the last line.
+_IMPORT_BUDGET = """
+import json, sys
+import sbcool.cli
+from sbcool.config import load_config
+
+def run(command, *args):
+    return sbcool.cli.main([command, "--config", sys.argv[1], *args])
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+load_config(sys.argv[1])
+seen, codes = {"setup": scipy_modules()}, []
+codes.append(run("scan", "--sideband", "red", "--points", "11", "--out", "red.csv"))
+codes.append(run("scan", "--sideband", "blue", "--points", "11", "--out", "blue.csv"))
+codes.append(run("fit", "red.csv", "blue.csv", "--mode", "spectra", "--forward", "integrate"))
+codes.append(run("constants"))
+seen["closed"] = scipy_modules()
+codes.append(run("cool", "--out", "cool.csv"))
+codes.append(run("heatrate", "--delays", "0,5e-3,10e-3", "--out", "rate.csv"))
+seen["cooling"] = scipy_modules()
+codes.append(run("flop", "--sideband", "blue", "--tmax", "1e-3", "--points", "11",
+                 "--out", "flop.csv"))
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_commands_import_scipy_only_on_the_paths_that_run_it(tmp_path):
+    # Start-up is most of a short command's wall time, and scipy.integrate
+    # (with scipy.optimize and scipy.special) is most of start-up.
+    root = Path(sbcool.__file__).resolve().parents[1]
+    config = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET, str(config)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 7
+    assert report["seen"]["setup"] == []
+    assert report["seen"]["closed"] == []
+    heavy = ("scipy.integrate", "scipy.optimize")
+    assert [m for m in report["seen"]["cooling"] if m.startswith(heavy)] == []

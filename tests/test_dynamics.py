@@ -7,6 +7,7 @@ operators, and the exact thermal red/blue ratio n_bar/(n_bar+1).
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -457,6 +458,51 @@ def _block_hamiltonian(draw, rng):
         h[start:start + size, start:start + size] = block + block.conj().T
         start += size
     return h[np.ix_(perm, perm)]
+
+
+@st.composite
+def _sparsity_patterns(draw):
+    """A random symmetric boolean matrix on 1..30 nodes, self-links included."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    linked = np.zeros((n, n), dtype=bool)
+    for i, j in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+        linked[i, j] = linked[j, i] = True
+    return linked
+
+
+def _shuffled_path(n):
+    """One path through n nodes visited in random index order: min-label
+    propagation would need about n/2 rounds to settle it."""
+    order = np.random.default_rng(0).permutation(n)
+    linked = np.zeros((n, n), dtype=bool)
+    linked[order[:-1], order[1:]] = True
+    return linked | linked.T
+
+
+def _assert_csgraph_components(linked):
+    count, labels = dynamics._components(linked)
+    expected_count, expected = connected_components(sp.csr_array(linked), directed=False)
+    assert count == expected_count
+    assert np.array_equal(labels, expected)
+
+
+@settings(max_examples=100)
+@given(_sparsity_patterns())
+@example(_shuffled_path(1000))
+@example(np.zeros((50, 50), dtype=bool))
+def test_components_match_csgraph(linked):
+    # block order, and so every output byte, follows these labels
+    _assert_csgraph_components(linked)
+
+
+@pytest.mark.parametrize("model", ["effective", "full_dressed"])
+@pytest.mark.parametrize("sideband", ["red", "blue"])
+@pytest.mark.parametrize("keep_carrier", [False, True])
+def test_components_match_csgraph_on_probe_hamiltonians(model, sideband, keep_carrier):
+    probe = SidebandProbe(sideband=sideband, model=model, keep_carrier=keep_carrier)
+    h = probe.hamiltonian(probe.space(20), probe.resonance_hz())
+    _assert_csgraph_components(h.matrix != 0)
 
 
 @st.composite

@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.constants as sc
 
 from sbcool import (
     DriveField,
+    PhysicalConstants,
     SPIN_LABELS,
     TrapParams,
     build_dressed_rf_hamiltonian,
@@ -29,6 +31,15 @@ ETA_FROZEN = 6.442436053e-03
 
 def default_trap() -> TrapParams:
     return TrapParams()
+
+
+def test_physical_constants_are_the_installed_codata_values():
+    # literals, so that importing the package loads no scipy module
+    codata = PhysicalConstants()
+    assert codata.hbar == sc.hbar
+    assert codata.mu_b == sc.physical_constants["Bohr magneton"][0]
+    assert codata.e == sc.elementary_charge
+    assert codata.amu == sc.physical_constants["atomic mass constant"][0]
 
 
 def test_ground_state_extent_frozen():
