@@ -49,7 +49,6 @@ from .errors import (
 from .ion import (
     EFFECTIVE_LABELS,
     SPIN_LABELS,
-    DriveField,
     PhysicalConstants,
     TrapParams,
     build_dressed_rf_hamiltonian,
@@ -113,7 +112,7 @@ __all__ = [
     "ConfigError", "DataFormatError", "FitError", "IntegrationError",
     "TruncationError",
     # ion
-    "EFFECTIVE_LABELS", "SPIN_LABELS", "DriveField", "PhysicalConstants",
+    "EFFECTIVE_LABELS", "SPIN_LABELS", "PhysicalConstants",
     "TrapParams", "build_dressed_rf_hamiltonian", "dressed_states",
     "effective_two_level_hamiltonian", "four_level_space",
     "ground_state_extent", "lamb_dicke_eff", "sideband_rabi",

@@ -82,13 +82,12 @@ class ExperimentConfig:
             return self.sideband_rabi_hz
         return self.eta_eff() * self.carrier_rabi_hz
 
-    def probe(self, sideband: str, model: str = "effective",
-              keep_carrier: bool = False) -> SidebandProbe:
+    def probe(self, sideband: str, model: str = "effective") -> SidebandProbe:
         return SidebandProbe(
             trap=self.trap(), carrier_rabi_hz=self.carrier_rabi_hz,
             dressing_rabi_hz=self.dressing_rabi_hz,
             sideband=sideband, sideband_rabi_hz=self.sideband_rabi_hz,
-            model=model, keep_carrier=keep_carrier)
+            model=model)
 
     def repump(self) -> RepumpModel:
         return RepumpModel(self.repump_pi_time_s, self.repump_pump_time_s,

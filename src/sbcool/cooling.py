@@ -144,9 +144,6 @@ class PulseSchedule:
             raise ValueError("sideband targets must strictly decrease")
         object.__setattr__(self, "pulses", pulses)
 
-    def sideband_pulses(self) -> list[PulseSpec]:
-        return [p for p in self.pulses if p.kind == SIDEBAND_KIND]
-
 
 def pulse_transfer_probability(n: int, duration_s: float, rabi_1_hz: float) -> float:
     """sin^2(pi f1 sqrt(n) t): down-transfer probability of level n during one
@@ -441,8 +438,6 @@ def simulate_cooling_quantum(
 
 # ---------------------------------------------------------------------------
 # schedule CSV rows
-
-SCHEDULE_HEADER = ("index", "kind", "target_n", "duration_s")
 
 
 def schedule_to_rows(schedule: PulseSchedule) -> list[tuple]:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import IntegrationError, TruncationError
 from .ion import (
-    DriveField,
     TrapParams,
     build_dressed_rf_hamiltonian,
     effective_two_level_hamiltonian,
@@ -527,17 +526,9 @@ class SidebandProbe:
                 self.eta_eff, self.effective_carrier_rabi_hz, self.trap.nu_z_hz,
                 detuning_hz, space, sideband=self.sideband,
                 keep_carrier=self.keep_carrier)
-        dressing = (
-            DriveField("microwave_dressing", self.dressing_rabi_hz,
-                       target_transition=("0", "+1")),
-            DriveField("microwave_dressing", self.dressing_rabi_hz,
-                       target_transition=("0", "-1")),
-        )
-        probe = DriveField("rf_probe", self.effective_carrier_rabi_hz,
-                           detuning_hz=detuning_hz, target_transition=("0'", "+1"))
         return build_dressed_rf_hamiltonian(
-            self.trap, dressing, probe, space,
-            sideband=self.sideband, keep_carrier=self.keep_carrier)
+            self.trap, self.dressing_rabi_hz, self.effective_carrier_rabi_hz, detuning_hz,
+            space, sideband=self.sideband, keep_carrier=self.keep_carrier)
 
     def space(self, n_max: int) -> ProductSpace:
         if self.model == "effective":

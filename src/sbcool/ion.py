@@ -25,10 +25,10 @@ Conventions used everywhere in this module:
   the diagonal carries the detuning from that sideband.  With
   `keep_carrier=True` the probe rotating frame is returned instead, retaining
   nu * a'a and the off-resonant carrier term for fidelity studies.
-* The probe `rabi_freq` is the carrier Rabi frequency of the dressed
-  |0'> <-> |D> transition itself; the bare |0'> <-> |+1> matrix element is
-  sqrt(2) larger, so that projecting onto |D> reproduces the quoted carrier
-  and sideband couplings with no residual factors.
+* The probe Rabi frequency `probe_rabi_hz` is the carrier Rabi frequency of
+  the dressed |0'> <-> |D> transition itself; the bare |0'> <-> |+1> matrix
+  element is sqrt(2) larger, so that projecting onto |D> reproduces the
+  quoted carrier and sideband couplings with no residual factors.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "PhysicalConstants",
     "CODATA",
     "TrapParams",
-    "DriveField",
     "SPIN_LABELS",
     "EFFECTIVE_LABELS",
     "four_level_space",
@@ -122,31 +121,6 @@ class TrapParams:
     def omega_z(self) -> float:
         """Angular secular frequency (rad/s)."""
         return 2.0 * math.pi * self.nu_z_hz
-
-
-@dataclass(frozen=True)
-class DriveField:
-    """One applied field.
-
-    kind               "microwave_dressing" or "rf_probe"
-    rabi_freq_hz       carrier Rabi frequency (Hz); for the probe this is the
-                       dressed |0'> <-> |D> carrier Rabi
-    detuning_hz        detuning from the named carrier transition (Hz)
-    phase_rad          drive phase
-    target_transition  (lower_label, upper_label) pair
-    """
-
-    kind: str
-    rabi_freq_hz: float
-    detuning_hz: float = 0.0
-    phase_rad: float = 0.0
-    target_transition: tuple[str, str] = ("0'", "+1")
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("microwave_dressing", "rf_probe"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.rabi_freq_hz < 0:
-            raise ValueError("rabi_freq_hz must be >= 0")
 
 
 def four_level_space(n_max: int) -> ProductSpace:
@@ -221,20 +195,33 @@ def _transition_matrix(spin: SpinBasis, upper: str, lower: str) -> np.ndarray:
     return mat
 
 
+def _sideband_frame(sideband: Sideband, delta: float, nu: float,
+                    a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Detuning from the addressed sideband and its motional operator."""
+    if sideband == "red":
+        return delta + nu, a
+    if sideband == "blue":
+        return delta - nu, a.conj().T
+    raise ValueError(f"sideband must be 'red' or 'blue', got {sideband!r}")
+
+
 def build_dressed_rf_hamiltonian(
     tp: TrapParams,
-    dressing: tuple[DriveField, DriveField],
-    probe: DriveField,
+    dressing_rabi_hz: float,
+    probe_rabi_hz: float,
+    detuning_hz: float,
     space: ProductSpace,
     sideband: Sideband = "red",
     keep_carrier: bool = False,
 ) -> Operator:
     """Four-level dressed model with the gradient sideband coupling.
 
-    Returns a Hermitian operator (rad/s) on the spin-major product space.  The
-    probe addresses |0'> <-> |+1>; its quoted Rabi frequency is the dressed
-    |0'> <-> |D> carrier Rabi, so the bare matrix element is sqrt(2) larger.
-    The |0'> <-> |-1> leg of the same tone is non-secular at every sideband
+    Returns a Hermitian operator (rad/s) on the spin-major product space.  Two
+    resonant microwave fields of Rabi frequency dressing_rabi_hz couple |0>
+    to |+1> and to |-1>.  The probe, detuned by detuning_hz from the carrier,
+    addresses |0'> <-> |+1>; probe_rabi_hz is the dressed |0'> <-> |D>
+    carrier Rabi, so the bare matrix element is sqrt(2) larger.  The
+    |0'> <-> |-1> leg of the same tone is non-secular at every sideband
     (offset by the second-order splitting) and carries no static term in
     either frame; see module docstring.
 
@@ -245,60 +232,41 @@ def build_dressed_rf_hamiltonian(
     """
     if tuple(space.spin.labels) != SPIN_LABELS:
         raise ValueError(f"space must use spin labels {SPIN_LABELS}")
-    if probe.kind != "rf_probe":
-        raise ValueError("probe must be an rf_probe field")
-    for fld in dressing:
-        if fld.kind != "microwave_dressing":
-            raise ValueError("dressing fields must be microwave_dressing")
+    if dressing_rabi_hz < 0 or probe_rabi_hz < 0:
+        raise ValueError("Rabi frequencies must be >= 0")
 
     spin = space.spin
     fock = space.fock
     nu = tp.omega_z
-    delta = 2.0 * math.pi * probe.detuning_hz
-    omega_bare = 2.0 * math.pi * probe.rabi_freq_hz * math.sqrt(2.0)
+    delta = 2.0 * math.pi * detuning_hz
+    omega_bare = 2.0 * math.pi * probe_rabi_hz * math.sqrt(2.0)
     eta = lamb_dicke_eff(tp)
-    phase = np.exp(1j * probe.phase_rad)
 
     a = lowering_op(fock).matrix
     adag = a.conj().T
     eye_f = np.eye(fock.dim, dtype=complex)
+    big_delta, side_f = _sideband_frame(sideband, delta, nu, a)
 
-    up_plus = _transition_matrix(spin, "+1", "0")
-    up_minus = _transition_matrix(spin, "-1", "0")
+    up_dress = _transition_matrix(spin, "+1", "0") + _transition_matrix(spin, "-1", "0")
     probe_up = _transition_matrix(spin, "+1", "0'")
     proj_0p = _transition_matrix(spin, "0'", "0'")
 
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-
     # resonant dressing, static in both frames
-    wd_p = 2.0 * math.pi * dressing[0].rabi_freq_hz
-    wd_m = 2.0 * math.pi * dressing[1].rabi_freq_hz
-    dress = (wd_p / 2.0) * up_plus + (wd_m / 2.0) * up_minus
-    h += embed_op(space, dress + dress.conj().T, eye_f)
+    dress = (2.0 * math.pi * dressing_rabi_hz / 2.0) * up_dress
+    h = embed_op(space, dress + dress.conj().T, eye_f)
 
     if keep_carrier:
         # probe rotating frame: motion kept explicitly
         h += embed_op(space, proj_0p, eye_f) * delta
         h += np.kron(np.eye(spin.dim, dtype=complex), nu * (adag @ a))
-        coupling = (omega_bare / 2.0) * phase
-        h += embed_op(space, probe_up, eye_f + eta * (a + adag)) * coupling
-        h += embed_op(space, probe_up.conj().T, eye_f + eta * (a + adag)) * np.conj(coupling)
+        probe_x = probe_up + probe_up.conj().T
+        h += embed_op(space, probe_x, eye_f + eta * (a + adag)) * (omega_bare / 2.0)
         return Operator(space, h)
 
     # sideband interaction frame
-    if sideband == "red":
-        big_delta = delta + nu
-        side_f = a
-    elif sideband == "blue":
-        big_delta = delta - nu
-        side_f = adag
-    else:
-        raise ValueError(f"sideband must be 'red' or 'blue', got {sideband!r}")
-
     h += embed_op(space, proj_0p, eye_f) * big_delta
-    coupling = (eta * omega_bare / 2.0) * phase
-    h += embed_op(space, probe_up, side_f) * coupling
-    h += embed_op(space, probe_up.conj().T, side_f.conj().T) * np.conj(coupling)
+    h += embed_op(space, probe_up, side_f) * (eta * omega_bare / 2.0)
+    h += embed_op(space, probe_up.conj().T, side_f.conj().T) * (eta * omega_bare / 2.0)
     return Operator(space, h)
 
 
@@ -331,6 +299,7 @@ def effective_two_level_hamiltonian(
     a = lowering_op(fock).matrix
     adag = a.conj().T
     eye_f = np.eye(fock.dim, dtype=complex)
+    big_delta, side_f = _sideband_frame(sideband, delta, nu, a)
 
     up = _transition_matrix(spin, "D", "0'")
     proj_0p = _transition_matrix(spin, "0'", "0'")
@@ -343,15 +312,6 @@ def effective_two_level_hamiltonian(
         h += embed_op(space, up + up.conj().T, eye_f) * (omega / 2.0)
         h += embed_op(space, up + up.conj().T, a + adag) * (eta * omega / 2.0)
         return Operator(space, h)
-
-    if sideband == "red":
-        big_delta = delta + nu
-        side_f = a
-    elif sideband == "blue":
-        big_delta = delta - nu
-        side_f = adag
-    else:
-        raise ValueError(f"sideband must be 'red' or 'blue', got {sideband!r}")
 
     h += embed_op(space, proj_0p, eye_f) * big_delta
     h += embed_op(space, up, side_f) * (eta * omega / 2.0)

@@ -92,42 +92,37 @@ def sideband_probability(
     P(t) = sum_n p_n sin^2(pi f1 sqrt(n or n+1) t) with f1 = eta_omega_hz.
     Vectorised over t; returns an array matching t's shape.
     """
-    if sideband not in ("red", "blue"):
-        raise ValueError("sideband must be 'red' or 'blue'")
     p = _populations(state, n_max)
-    n = np.arange(p.size)
-    root = np.sqrt(n) if sideband == "red" else np.sqrt(n + 1)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    phase = np.pi * eta_omega_hz * np.outer(t_arr, root)
-    out = np.sin(phase) ** 2 @ p
+    out = _line_shape(np.zeros(1), t_arr, sideband, eta_omega_hz, 0.0, p.size - 1) @ p
     return out if np.ndim(t) else float(out[0])
 
 
 def _line_shape(
     detuning_hz: np.ndarray,
+    times_s: np.ndarray,
     sideband: Literal["red", "blue"],
     eta_omega_hz: float,
     nu_z_hz: float,
-    t_probe_s: float,
     n_max: int,
 ) -> np.ndarray:
-    """Detuned Rabi transfer matrix L[i, n] of |0', n> at detuning i."""
+    """Detuned Rabi transfer L[i * len(times) + j, n] of |0', n> at detuning i
+    and time j, rows ordered as in the closed engine's ScanResponse."""
     n = np.arange(n_max + 1)
-    root = np.sqrt(n) if sideband == "red" else np.sqrt(n + 1)
+    delta = np.asarray(detuning_hz, dtype=float)
     if sideband == "red":
-        big_delta = np.asarray(detuning_hz, dtype=float) + nu_z_hz
+        root, big_delta = np.sqrt(n), delta + nu_z_hz
     elif sideband == "blue":
-        big_delta = np.asarray(detuning_hz, dtype=float) - nu_z_hz
+        root, big_delta = np.sqrt(n + 1), delta - nu_z_hz
     else:
         raise ValueError("sideband must be 'red' or 'blue'")
     # angular coupling Omega_n = 2 pi f1 root_n; generalised flop at detuning
-    f_n = eta_omega_hz * root  # cyclic coupling per level
-    f_n2 = f_n ** 2
+    f_n2 = (eta_omega_hz * root) ** 2  # cyclic coupling per level, squared
     w2 = f_n2[None, :] + big_delta[:, None] ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
         weight = np.where(w2 > 0, f_n2[None, :] / np.where(w2 > 0, w2, 1.0), 0.0)
-    amp = np.sin(np.pi * np.sqrt(w2) * t_probe_s) ** 2
-    return weight * amp
+    amp = np.sin(np.pi * np.sqrt(w2)[:, None, :] * np.asarray(times_s)[None, :, None]) ** 2
+    return (weight[:, None, :] * amp).reshape(-1, n_max + 1)
 
 
 def sideband_scan_probability(
@@ -148,16 +143,16 @@ def sideband_scan_probability(
     (no heating); tested against it.
     """
     p = _populations(state, n_max)
-    return _line_shape(detuning_hz, sideband, eta_omega_hz, nu_z_hz,
-                       t_probe_s, p.size - 1) @ p
+    return _line_shape(detuning_hz, np.array([t_probe_s]), sideband, eta_omega_hz,
+                       nu_z_hz, p.size - 1) @ p
 
 
 def _analytic_response(
     detuning_hz: np.ndarray,
+    times_s: np.ndarray,
     sideband: Literal["red", "blue"],
     eta_omega_hz: float,
     nu_z_hz: float,
-    t_probe_s: float,
     n_max: int,
 ) -> ScanResponse:
     """The closed-form line shape as a ScanResponse.
@@ -166,7 +161,7 @@ def _analytic_response(
     (blue) only, so level n_max keeps 1 - L of |0', n_max> and, on the blue
     sideband, receives L of |0', n_max - 1>.
     """
-    line = _line_shape(detuning_hz, sideband, eta_omega_hz, nu_z_hz, t_probe_s, n_max)
+    line = _line_shape(detuning_hz, times_s, sideband, eta_omega_hz, nu_z_hz, n_max)
     top = np.zeros_like(line)
     top[:, n_max] = 1.0 - line[:, n_max]
     if sideband == "blue":
@@ -226,8 +221,9 @@ def _bracket_and_refine(f: Callable[[float], float], grid: np.ndarray) -> tuple[
 
 
 def _curvature_std(f: Callable[[float], float], x: float, rss: float,
-                   n_points: int) -> tuple[float, int]:
-    """Gauss-Newton style uncertainty from the RSS curvature at the minimum.
+                   n_points: int) -> float:
+    """Gauss-Newton style uncertainty from the RSS curvature at the minimum,
+    in three evaluations of f.
 
     Second difference with (possibly) unequal steps when the lower point is
     clamped at the n_bar >= 0 boundary.
@@ -245,18 +241,24 @@ def _curvature_std(f: Callable[[float], float], x: float, rss: float,
     dof = max(n_points - 1, 1)
     s2 = rss / dof
     if d2 <= 0:
-        return 0.0, 3
-    return math.sqrt(max(2.0 * s2 / d2, 0.0)), 3
+        return 0.0
+    return math.sqrt(max(2.0 * s2 / d2, 0.0))
 
 
-def _fit_scalar(f: Callable[[float], float], grid: np.ndarray,
-                n_points: int) -> FitResult:
-    x, rss, n_eval = _bracket_and_refine(f, grid)
+def _fit_thermal(pairs: Sequence[tuple[ScanResponse, np.ndarray]], grid: np.ndarray,
+                 n_max: int) -> FitResult:
+    """Thermal n_bar >= 0 minimising the summed squared residuals of every
+    (response, data) pair; a thermal state on levels 0..n_max is read out by
+    each response, which raises TruncationError past TOP_LEVEL_TOL."""
+    def rss(n_bar: float) -> float:
+        p = thermal_distribution(n_bar, n_max).populations
+        return float(sum(np.sum((response.p_f1(p) - data) ** 2) for response, data in pairs))
+
+    x, rss_min, n_eval = _bracket_and_refine(rss, grid)
     x = max(x, 0.0)
-    std, extra = _curvature_std(f, x, rss, n_points)
-    return FitResult(value=x, std_error=std,
-                     residual_norm=math.sqrt(max(rss, 0.0)),
-                     n_evaluations=n_eval + extra)
+    std = _curvature_std(rss, x, rss_min, sum(data.size for _, data in pairs))
+    return FitResult(value=x, std_error=std, residual_norm=math.sqrt(max(rss_min, 0.0)),
+                     n_evaluations=n_eval + 3)
 
 
 def _nbar_grid(hint: float) -> np.ndarray:
@@ -302,7 +304,6 @@ def fit_nbar_spectra(
     blue_x = np.asarray(blue.x, dtype=float)
     red_p = np.asarray(red.p_f1, dtype=float)
     blue_p = np.asarray(blue.p_f1, dtype=float)
-    n_points = red_p.size + blue_p.size
     eta_omega = eta_eff * omega_hz
 
     # moment hint from the peak ratio when resolvable
@@ -318,9 +319,10 @@ def fit_nbar_spectra(
 
     if forward == "analytic" and model == "effective":
         n_max = _auto_n_max(n_bar_top)
+        t_probe = np.array([t_probe_s])
 
         def response(x: np.ndarray, sideband: str) -> ScanResponse:
-            return _analytic_response(x, sideband, eta_omega, nu_z_hz, t_probe_s, n_max)
+            return _analytic_response(x, t_probe, sideband, eta_omega, nu_z_hz, n_max)
     else:
         n_max = fock_cutoff_for_dynamics(n_bar_top, 0.0, t_probe_s)
         trap = TrapParams(nu_z_hz=nu_z_hz)
@@ -331,37 +333,30 @@ def fit_nbar_spectra(
                                   dressing_rabi_hz=omega_dr_hz, sideband=sideband,
                                   sideband_rabi_hz=eta_omega, model=model)
             return scan_response(probe, x, t_probe_s, n_max)
-    red_response = response(red_x, "red")
-    blue_response = response(blue_x, "blue")
-
-    def rss(n_bar: float) -> float:
-        p = thermal_distribution(n_bar, n_max).populations
-        return float(np.sum((red_response.p_f1(p) - red_p) ** 2)
-                     + np.sum((blue_response.p_f1(p) - blue_p) ** 2))
-
-    return _fit_scalar(rss, grid, n_points)
+    return _fit_thermal([(response(red_x, "red"), red_p), (response(blue_x, "blue"), blue_p)],
+                        grid, n_max)
 
 
 def fit_nbar_flop(flop, eta_omega_hz: float) -> FitResult:
     """Thermal fit of a resonant red-sideband flop time series.
 
-    The forward model is the analytic transfer sum; insensitive near n_bar = 0
-    on the red sideband of a pure ground state, so the fitter is normally fed
-    hot-state data (e.g. before cooling).
+    The forward model is the analytic transfer sum, built once as a
+    ScanResponse over the flop's times at the Fock cutoff of the bracket
+    grid's top.  It is insensitive near n_bar = 0 on the red sideband of a
+    pure ground state, so the fitter is normally fed hot-state data (e.g.
+    before cooling).
     """
     t = np.asarray(flop.x, dtype=float)
     p = np.asarray(flop.p_f1, dtype=float)
-
-    def rss(n_bar: float) -> float:
-        model = sideband_probability(t, "red", n_bar, eta_omega_hz)
-        return float(np.sum((model - p) ** 2))
-
     # crude scale hint: early-time transfer of a hot state ~ 1 - p0 = q
     hint = 1.0
     peak = float(p.max()) if p.size else 0.0
     if 0.0 < peak < 0.999:
         hint = max(ratio_to_nbar(min(peak, 0.99)), 0.1)
-    return _fit_scalar(rss, _nbar_grid(hint), p.size)
+    grid = _nbar_grid(hint)
+    n_max = _auto_n_max(float(grid[-1]))
+    response = _analytic_response(np.zeros(1), t, "red", eta_omega_hz, 0.0, n_max)
+    return _fit_thermal([(response, p)], grid, n_max)
 
 
 def fit_heating_rate(

@@ -12,6 +12,7 @@ import pytest
 import sbcool
 
 from sbcool.cli import FIT_HEADER, RATE_HEADER, main
+from sbcool.config import load_config
 from sbcool.runio import FLOP_HEADER, HEATRATE_HEADER, SCAN_HEADER, read_csv
 
 
@@ -47,6 +48,24 @@ def test_scan_determinism_bytes(tmp_path):
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_probe_heating_runs_the_heated_scan(tmp_path):
+    cfg = load_config(None)
+    probe = cfg.probe("blue")
+    grid = probe.resonance_hz() + np.array([-1000.0, 0.0, 1000.0])
+    heated = sbcool.simulate_scan(probe, grid, cfg.probe_time_s, 0.13,
+                                  heating=cfg.heating(), cfg=cfg.integrator())
+    closed = sbcool.simulate_scan(probe, grid, cfg.probe_time_s, 0.13, cfg=cfg.integrator())
+    out = tmp_path / "heated.csv"
+    assert run(["scan", "--sideband", "blue", "--points", "3", "--span", "2000",
+                "--shots", "inf", "--probe-heating", "--out", out]) == 0
+    cols = read_csv(out, SCAN_HEADER)
+    assert np.array_equal(cols["detuning_hz"], grid)
+    # the CSV holds 12 significant digits
+    assert cols["p_f1"] == pytest.approx(heated.p_f1, rel=0, abs=1e-12)
+    # heating during the 1.27 ms probe moves the resonant point by 0.0128
+    assert abs(cols["p_f1"][1] - closed.p_f1[1]) > 0.01
 
 
 def test_flop_and_fit_round_trip(tmp_path):

@@ -181,8 +181,8 @@ def test_scan_response_matches_line_shape(sideband):
     grid = probe.resonance_hz() + np.linspace(-3000.0, 3000.0, 13)
     n_max = 10
     response = scan_response(probe, grid, 1.27e-3, n_max)
-    line = _line_shape(grid, sideband, probe.effective_sideband_rabi_hz,
-                       probe.trap.nu_z_hz, 1.27e-3, n_max)
+    line = _line_shape(grid, np.array([1.27e-3]), sideband, probe.effective_sideband_rabi_hz,
+                       probe.trap.nu_z_hz, n_max)
     # the blue n_max column has no |D, n_max + 1> to transfer to
     cols = n_max if sideband == "blue" else n_max + 1
     assert np.max(np.abs(response.f1[:, :cols] - line[:, :cols])) < 1e-12

@@ -11,7 +11,6 @@ import pytest
 import scipy.constants as sc
 
 from sbcool import (
-    DriveField,
     PhysicalConstants,
     SPIN_LABELS,
     TrapParams,
@@ -95,19 +94,13 @@ def test_dressed_states_structure():
 
 
 def _fields(detuning_hz=0.0):
-    dressing = (
-        DriveField("microwave_dressing", 32e3, 0.0, 0.0, ("0", "+1")),
-        DriveField("microwave_dressing", 32e3, 0.0, 0.0, ("0", "-1")),
-    )
-    probe = DriveField("rf_probe", 61.2e3, detuning_hz, 0.0, ("0'", "+1"))
-    return dressing, probe
+    """Dressing Rabi, probe carrier Rabi and probe detuning (Hz)."""
+    return 32e3, 61.2e3, detuning_hz
 
 
 def test_four_level_hamiltonian_hermitian_and_coupling():
     space = four_level_space(4)
-    dressing, probe = _fields()
-    h = build_dressed_rf_hamiltonian(default_trap(), dressing, probe,
-                                     space, sideband="red")
+    h = build_dressed_rf_hamiltonian(default_trap(), *_fields(), space, sideband="red")
     assert h.is_hermitian(tol=1e-9)
     m = h.matrix
     i_up = space.index("+1", 0)
@@ -120,9 +113,7 @@ def test_four_level_hamiltonian_hermitian_and_coupling():
     assert abs(m[i_up2, i_lo2]) == pytest.approx(1751.72694 * math.sqrt(2), rel=1e-6)
     # dressing block eigenvalues: 0 (twice incl. 0') and +-Omega_dr/sqrt(2)
     dress_block = build_dressed_rf_hamiltonian(
-        default_trap(), dressing,
-        DriveField("rf_probe", 0.0, -426.7e3, 0.0, ("0'", "+1")),
-        four_level_space(1), sideband="red")
+        default_trap(), 32e3, 0.0, -426.7e3, four_level_space(1), sideband="red")
     eigs = np.linalg.eigvalsh(dress_block.matrix)
     assert eigs.max() == pytest.approx(142172.254, rel=1e-6)
     assert eigs.min() == pytest.approx(-142172.254, rel=1e-6)
@@ -130,9 +121,7 @@ def test_four_level_hamiltonian_hermitian_and_coupling():
 
 def test_keep_carrier_frame_contains_trap_term():
     space = four_level_space(3)
-    dressing, probe = _fields()
-    h = build_dressed_rf_hamiltonian(default_trap(), dressing, probe,
-                                     space, keep_carrier=True)
+    h = build_dressed_rf_hamiltonian(default_trap(), *_fields(), space, keep_carrier=True)
     assert h.is_hermitian(tol=1e-9)
     m = h.matrix
     # motional ladder on a spectator spin level
@@ -143,6 +132,13 @@ def test_keep_carrier_frame_contains_trap_term():
     # bare carrier coupling Omega sqrt(2)/2
     assert abs(m[space.index("+1", 0), space.index("0'", 0)]) == pytest.approx(
         271904.4358, rel=1e-6)
+    # the sideband is checked in both frames, so keep_carrier does not skip it
+    with pytest.raises(ValueError, match="sideband"):
+        build_dressed_rf_hamiltonian(default_trap(), *_fields(), space,
+                                     sideband="green", keep_carrier=True)
+    with pytest.raises(ValueError, match="sideband"):
+        effective_two_level_hamiltonian(ETA_FROZEN, 61.2e3, 426.7e3, 0.0, two_level_space(3),
+                                        sideband="green", keep_carrier=True)
 
 
 def test_effective_hamiltonian_detuning_sign():
@@ -166,8 +162,9 @@ def test_trap_params_validation():
         TrapParams(gradient_t_m=-0.1)
 
 
-def test_drive_field_validation():
-    with pytest.raises(ValueError):
-        DriveField("laser", 1e3, 0.0, 0.0, ("0", "+1"))
-    with pytest.raises(ValueError):
-        DriveField("rf_probe", -1e3, 0.0, 0.0, ("0'", "+1"))
+def test_dressed_builder_rejects_negative_rabi():
+    space = four_level_space(2)
+    with pytest.raises(ValueError, match="Rabi"):
+        build_dressed_rf_hamiltonian(default_trap(), -32e3, 61.2e3, 0.0, space)
+    with pytest.raises(ValueError, match="Rabi"):
+        build_dressed_rf_hamiltonian(default_trap(), 32e3, -1e3, 0.0, space)

@@ -12,6 +12,7 @@ from sbcool import (
     FitError,
     ScanResult,
     SidebandRatio,
+    TruncationError,
     doppler_limit,
     fit_heating_rate,
     fit_nbar_flop,
@@ -88,6 +89,14 @@ def test_fit_nbar_spectra_round_trips():
         assert fit.value == pytest.approx(nbar, abs=2e-4)
         assert fit.n_evaluations > 0
         assert fit.std_error >= 0.0
+    # frozen values of both forwards; a change to the fit's arithmetic must keep them
+    red, blue = _analytic_scan_pair(0.13)
+    for forward, value, std_error in [("analytic", 0.1300000327340849, 3.6371207134666614e-09),
+                                      ("integrate", 0.1300000327340849, 3.6371207023866967e-09)]:
+        fit = fit_nbar_spectra(red, blue, NU, OMEGA_EFF, 32e3, T_PROBE, ETA, forward=forward)
+        assert fit.value == pytest.approx(value, rel=1e-12)
+        assert fit.std_error == pytest.approx(std_error, rel=1e-12)
+        assert fit.n_evaluations == 55
 
 
 def test_fit_nbar_spectra_vacuum_boundary():
@@ -99,10 +108,29 @@ def test_fit_nbar_spectra_vacuum_boundary():
 
 def test_fit_nbar_flop_round_trip():
     times = np.linspace(0.0, 6e-3, 121)
-    for nbar in (0.3, 1.2):
+    # frozen value, std_error and evaluations of a fit whose thermal model is
+    # cut at each n_bar's own level, as the curve is.  The fit cuts it at the
+    # bracket top's level; on exact data std_error comes from a residual of
+    # ~1e-7, so that tail difference moves it by 8.0e-6 (n_bar 1.2, tail
+    # (1.2/2.2)^45) and 2.3e-11 (n_bar 0.3) relative.
+    frozen = {0.3: (0.30000000876260163, 7.999123730270398e-10, 54, 1e-10),
+              1.2: (1.1999996315985308, 3.3630274857903145e-08, 75, 1e-5)}
+    for nbar, (value, std_error, n_evaluations, std_rel) in frozen.items():
         curve = sideband_probability(times, "red", nbar, F1)
         fit = fit_nbar_flop(ScanResult(times, curve), F1)
         assert fit.value == pytest.approx(nbar, abs=3e-3)
+        assert fit.value == pytest.approx(value, rel=1e-12)
+        assert fit.std_error == pytest.approx(std_error, rel=std_rel)
+        assert fit.n_evaluations == n_evaluations
+
+
+def test_fit_nbar_flop_guards_the_top_level(monkeypatch):
+    times = np.linspace(0.0, 6e-3, 121)
+    flop = ScanResult(times, sideband_probability(times, "red", 1.2, F1))
+    # a cutoff of 3 levels leaves far more than 1e-6 of a hot state in the top one
+    monkeypatch.setattr("sbcool.thermometry._auto_n_max", lambda n_bar: 3)
+    with pytest.raises(TruncationError, match="top Fock level"):
+        fit_nbar_flop(flop, F1)
 
 
 def test_fit_heating_rate_exact_on_collinear_points():
