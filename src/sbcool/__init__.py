@@ -17,9 +17,6 @@ from .cooling import (
     RepumpModel,
     build_schedule,
     heat_distribution,
-    pulse_transfer_probability,
-    schedule_from_rows,
-    schedule_to_rows,
     schedule_total_time,
     simulate_cooling,
     simulate_cooling_quantum,
@@ -35,7 +32,6 @@ from .dynamics import (
     evolve_unitary,
     fock_cutoff_for_dynamics,
     heating_collapse_ops,
-    scan_response,
     simulate_flop,
     simulate_scan,
 )
@@ -52,7 +48,6 @@ from .ion import (
     PhysicalConstants,
     TrapParams,
     build_dressed_rf_hamiltonian,
-    dressed_states,
     effective_two_level_hamiltonian,
     four_level_space,
     ground_state_extent,
@@ -68,14 +63,10 @@ from .qcore import (
     ProductSpace,
     SpinBasis,
     embed_op,
-    expectation,
     identity_op,
     lowering_op,
     mean_phonon,
     motional_populations,
-    number_op,
-    raising_op,
-    spin_matrix_op,
     tensor,
     thermal_density,
     thermal_distribution,
@@ -83,7 +74,6 @@ from .qcore import (
 )
 from .thermometry import (
     FitResult,
-    SidebandRatio,
     doppler_limit,
     fit_heating_rate,
     fit_nbar_flop,
@@ -100,31 +90,29 @@ __all__ = [
     "CONFIG_ENV_VAR", "ExperimentConfig", "load_config", "parse_config_text",
     # cooling
     "CoolingResult", "PulseSchedule", "PulseSpec", "RepumpModel",
-    "build_schedule", "heat_distribution", "pulse_transfer_probability",
-    "schedule_from_rows", "schedule_to_rows", "schedule_total_time",
+    "build_schedule", "heat_distribution", "schedule_total_time",
     "simulate_cooling", "simulate_cooling_quantum",
     # dynamics
     "HeatingChannel", "IntegratorConfig", "LindbladModel", "ScanResponse",
     "ScanResult", "SidebandProbe", "evolve_lindblad", "evolve_unitary",
-    "fock_cutoff_for_dynamics", "heating_collapse_ops", "scan_response",
-    "simulate_flop", "simulate_scan",
+    "fock_cutoff_for_dynamics", "heating_collapse_ops", "simulate_flop",
+    "simulate_scan",
     # errors
     "ConfigError", "DataFormatError", "FitError", "IntegrationError",
     "TruncationError",
     # ion
     "EFFECTIVE_LABELS", "SPIN_LABELS", "PhysicalConstants",
-    "TrapParams", "build_dressed_rf_hamiltonian", "dressed_states",
+    "TrapParams", "build_dressed_rf_hamiltonian",
     "effective_two_level_hamiltonian", "four_level_space",
     "ground_state_extent", "lamb_dicke_eff", "sideband_rabi",
     "two_level_space",
     # qcore
     "DensityMatrix", "FockBasis", "FockDistribution", "Operator",
-    "ProductSpace", "SpinBasis", "embed_op", "expectation", "identity_op",
-    "lowering_op", "mean_phonon", "motional_populations", "number_op",
-    "raising_op", "spin_matrix_op", "tensor", "thermal_density",
+    "ProductSpace", "SpinBasis", "embed_op", "identity_op", "lowering_op",
+    "mean_phonon", "motional_populations", "tensor", "thermal_density",
     "thermal_distribution", "thermal_fock_cutoff",
     # thermometry
-    "FitResult", "SidebandRatio", "doppler_limit", "fit_heating_rate",
-    "fit_nbar_flop", "fit_nbar_spectra", "noise_density", "ratio_to_nbar",
+    "FitResult", "doppler_limit", "fit_heating_rate", "fit_nbar_flop",
+    "fit_nbar_spectra", "noise_density", "ratio_to_nbar",
     "sideband_probability", "sideband_scan_probability",
 ]

@@ -61,6 +61,17 @@ def _shots_arg(raw: str) -> int:
     return value
 
 
+def _finite_arg(raw: str) -> float:
+    """A number other than nan or inf."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _jobs_arg(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -252,8 +263,10 @@ def _heatrate(cfg: ExperimentConfig, delays: list[float],
 def cmd_heatrate(args: argparse.Namespace) -> int:
     cfg = _load(args)
     delays = sorted(float(d) for d in args.delays.split(","))
-    if len(delays) < 2:
-        raise ConfigError("need at least two delays")
+    if not all(math.isfinite(d) and d >= 0 for d in delays):
+        raise ConfigError(f"delays must be finite and >= 0, got {args.delays!r}")
+    if len(set(delays)) < 2:
+        raise ConfigError(f"need at least two distinct delays, got {args.delays!r}")
     rows, rate = _heatrate(cfg, delays, args.probe_heating)
     for delay, nbar, err in rows:
         print(f"delay {delay * 1e3:8.3f} ms: nbar = {nbar:.4f} +- {err:.4f}")
@@ -382,12 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[common],
                        help="simulate a sideband spectrum and write CSV")
     p.add_argument("--sideband", choices=("red", "blue"), required=True)
-    p.add_argument("--center", type=float, default=None,
+    p.add_argument("--center", type=_finite_arg, default=None,
                    help="grid centre, Hz from carrier (default: sideband resonance)")
-    p.add_argument("--span", type=float, default=4000.0)
+    p.add_argument("--span", type=_finite_arg, default=4000.0)
     p.add_argument("--points", type=int, default=41)
-    p.add_argument("--probe-time", type=float, default=None)
-    p.add_argument("--nbar", type=float, default=0.13)
+    p.add_argument("--probe-time", type=_finite_arg, default=None)
+    p.add_argument("--nbar", type=_finite_arg, default=0.13)
     p.add_argument("--shots", type=_shots_arg, default=None,
                    help="shots per point, or 'inf' for noiseless (default: config)")
     p.add_argument("--model", choices=("effective", "full_dressed"), default="effective")
@@ -400,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flop", parents=[common],
                        help="simulate a resonant sideband flop and write CSV")
     p.add_argument("--sideband", choices=("red", "blue"), required=True)
-    p.add_argument("--tmax", type=float, required=True)
+    p.add_argument("--tmax", type=_finite_arg, required=True)
     p.add_argument("--points", type=int, default=201)
-    p.add_argument("--nbar", type=float, default=0.13)
+    p.add_argument("--nbar", type=_finite_arg, default=0.13)
     p.add_argument("--shots", type=_shots_arg, default=None,
                    help="shots per point, or 'inf' for noiseless (default: noiseless)")
     p.add_argument("--model", choices=("effective", "full_dressed"), default="effective")
@@ -412,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cool", parents=[common],
                        help="run the pulsed cooling schedule (rate map)")
     p.add_argument("--nstart", type=int, default=None)
-    p.add_argument("--nbar0", type=float, default=None)
+    p.add_argument("--nbar0", type=_finite_arg, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--dist-out", default=None,
                    help="also write the final Fock distribution")

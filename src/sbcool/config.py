@@ -9,6 +9,7 @@ default path when the command line gives none.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -48,6 +49,9 @@ class ExperimentConfig:
     integrator_abs_tol: float = 1e-11
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         positive = ("mass_amu", "nu_z_hz", "carrier_rabi_hz", "probe_time_s",
                     "doppler_linewidth_hz", "integrator_rel_tol", "integrator_abs_tol")
         for name in positive:

@@ -56,13 +56,10 @@ __all__ = [
     "RepumpModel",
     "CoolingResult",
     "build_schedule",
-    "pulse_transfer_probability",
     "schedule_total_time",
     "heat_distribution",
     "simulate_cooling",
     "simulate_cooling_quantum",
-    "schedule_to_rows",
-    "schedule_from_rows",
 ]
 
 # Population allowed in the top bin before the rate map refuses to continue.
@@ -143,18 +140,6 @@ class PulseSchedule:
         if targets and any(b >= a for a, b in zip(targets, targets[1:])):
             raise ValueError("sideband targets must strictly decrease")
         object.__setattr__(self, "pulses", pulses)
-
-
-def pulse_transfer_probability(n: int, duration_s: float, rabi_1_hz: float) -> float:
-    """sin^2(pi f1 sqrt(n) t): down-transfer probability of level n during one
-    red-sideband pulse.  Zero for n = 0 (nothing below the ground state)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if duration_s < 0:
-        raise ValueError("duration_s must be >= 0")
-    if n == 0:
-        return 0.0
-    return math.sin(math.pi * rabi_1_hz * math.sqrt(n) * duration_s) ** 2
 
 
 def build_schedule(n_start: int, sideband_rabi_1_hz: float,
@@ -434,26 +419,3 @@ def simulate_cooling_quantum(
 
     final = FockDistribution(pops, truncation_loss=dist0.truncation_loss)
     return CoolingResult(final, np.array(idx), np.array(nbars), np.array(elapsed))
-
-
-# ---------------------------------------------------------------------------
-# schedule CSV rows
-
-
-def schedule_to_rows(schedule: PulseSchedule) -> list[tuple]:
-    """Rows for CSV export; target_n is empty for repump entries."""
-    rows = []
-    for i, p in enumerate(schedule.pulses):
-        rows.append((i, p.kind, "" if p.target_n is None else p.target_n, p.duration_s))
-    return rows
-
-
-def schedule_from_rows(rows: Sequence[Sequence[str]], n_start: int,
-                       sideband_rabi_1_hz: float) -> PulseSchedule:
-    """Inverse of schedule_to_rows; validates kinds and ordering."""
-    pulses = []
-    for row in rows:
-        _, kind, target, duration = row
-        target_n = None if target in ("", None) else int(target)
-        pulses.append(PulseSpec(str(kind), float(duration), target_n))
-    return PulseSchedule(tuple(pulses), n_start, sideband_rabi_1_hz)

@@ -8,11 +8,12 @@ d<N>/dt = ndot for any state.
 Both propagation paths start from one eigendecomposition of H, block by
 block: 2x2 blocks for the effective model, at most 4 for full_dressed, one
 with keep_carrier.  A closed system (no nonzero collapse operator) is
-propagated exactly; closed scans, flops and scan_response share one engine,
-_closed_response, which reads every initial |0', n> at once from |U|^2.  A
-heated run steps RK45 in the interaction picture of H, where the right-hand
-side is the dissipator alone, on the entries of rho reachable from rho0
-(_reachable); every other entry stays exactly zero.
+propagated exactly; closed scans, flops and the spectrum fit's integrate
+forward share one engine, _closed_response, which reads every initial
+|0', n> at once from |U|^2.  A heated run steps RK45 in the interaction
+picture of H, where the right-hand side is the dissipator alone, on the
+entries of rho reachable from rho0 (_reachable); every other entry stays
+exactly zero.
 
 Only heated runs import scipy (sparse, csgraph, integrate) and, with jobs > 1,
 concurrent.futures; closed runs and fits need numpy alone, since _components
@@ -65,7 +66,6 @@ __all__ = [
     "evolve_lindblad",
     "evolve_unitary",
     "fock_cutoff_for_dynamics",
-    "scan_response",
     "simulate_flop",
     "simulate_scan",
 ]
@@ -611,13 +611,6 @@ def _heated_point(args) -> np.ndarray:
     return np.array([_p_f1(s) for s in states])
 
 
-def _scan_grid(detunings_hz: Sequence[float], t_probe_s: float) -> np.ndarray:
-    deltas = _nonempty_1d(detunings_hz, "detunings")
-    if t_probe_s <= 0:
-        raise ValueError("t_probe_s must be > 0")
-    return deltas
-
-
 def simulate_scan(
     probe: SidebandProbe,
     detunings_hz: Sequence[float],
@@ -637,7 +630,9 @@ def simulate_scan(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    deltas = _scan_grid(detunings_hz, t_probe_s)
+    deltas = _nonempty_1d(detunings_hz, "detunings")
+    if not t_probe_s > 0:  # NaN included
+        raise ValueError("t_probe_s must be > 0")
     return ScanResult(deltas, _read_f1(probe, deltas, np.array([float(t_probe_s)]),
                                        initial, heating, cfg, n_max, jobs))
 
@@ -660,13 +655,6 @@ class ScanResponse:
         p = np.asarray(populations, dtype=float)
         _check_top(float(np.max(self.top @ p)))
         return self.f1 @ p
-
-
-def scan_response(probe: SidebandProbe, detunings_hz: Sequence[float], t_probe_s: float,
-                  n_max: int) -> ScanResponse:
-    """Closed-system response of a scan to every initial level |0', n <= n_max>."""
-    deltas = _scan_grid(detunings_hz, t_probe_s)
-    return _closed_response(probe, deltas, np.array([float(t_probe_s)]), n_max)
 
 
 def _closed_response(probe: SidebandProbe, deltas: np.ndarray, times: np.ndarray,

@@ -59,7 +59,6 @@ __all__ = [
     "ground_state_extent",
     "lamb_dicke_eff",
     "sideband_rabi",
-    "dressed_states",
     "build_dressed_rf_hamiltonian",
     "effective_two_level_hamiltonian",
 ]
@@ -163,26 +162,6 @@ def sideband_rabi(n: int, sideband: Sideband, eta: float, omega_hz: float) -> fl
     if sideband == "blue":
         return eta * omega_hz * math.sqrt(n + 1)
     raise ValueError(f"sideband must be 'red' or 'blue', got {sideband!r}")
-
-
-def dressed_states() -> dict[str, np.ndarray]:
-    """Eigenvectors of the symmetric dressing coupling, as kets over SPIN_LABELS.
-
-    |D>    = (|+1> - |-1>)/sqrt(2)          eigenvalue 0
-    |u/d>  = (|0> +- (|+1>+|-1>)/sqrt(2))/sqrt(2)   eigenvalues +-Omega_dr/sqrt(2)
-    """
-    spin = SpinBasis(SPIN_LABELS)
-    d = np.zeros(spin.dim)
-    d[spin.index("+1")] = 1.0 / math.sqrt(2.0)
-    d[spin.index("-1")] = -1.0 / math.sqrt(2.0)
-    bright = np.zeros(spin.dim)
-    bright[spin.index("+1")] = 1.0 / math.sqrt(2.0)
-    bright[spin.index("-1")] = 1.0 / math.sqrt(2.0)
-    zero = np.zeros(spin.dim)
-    zero[spin.index("0")] = 1.0
-    up = (bright + zero) / math.sqrt(2.0)
-    down = (bright - zero) / math.sqrt(2.0)
-    return {"D": d, "u": up, "d": down}
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,9 @@ __all__ = [
     "DensityMatrix",
     "FockDistribution",
     "lowering_op",
-    "raising_op",
-    "number_op",
     "identity_op",
-    "spin_matrix_op",
     "embed_op",
     "tensor",
-    "expectation",
     "thermal_distribution",
     "thermal_fock_cutoff",
     "thermal_density",
@@ -242,24 +238,8 @@ def lowering_op(fock: FockBasis) -> Operator:
     return Operator(fock, mat)
 
 
-def raising_op(fock: FockBasis) -> Operator:
-    return lowering_op(fock).dagger()
-
-
-def number_op(fock: FockBasis) -> Operator:
-    return Operator(fock, np.diag(np.arange(fock.dim, dtype=float)).astype(complex))
-
-
 def identity_op(space: Space) -> Operator:
     return Operator(space, np.eye(space.dim, dtype=complex))
-
-
-def spin_matrix_op(spin: SpinBasis, elements: dict[tuple[str, str], complex]) -> Operator:
-    """Spin operator from {(row_label, col_label): amplitude} entries."""
-    mat = np.zeros((spin.dim, spin.dim), dtype=complex)
-    for (row, col), amp in elements.items():
-        mat[spin.index(row), spin.index(col)] = amp
-    return Operator(spin, mat)
 
 
 def tensor(spin_op: Operator, fock_op: Operator) -> Operator:
@@ -275,19 +255,6 @@ def tensor(spin_op: Operator, fock_op: Operator) -> Operator:
 def embed_op(space: ProductSpace, spin_mat: np.ndarray, fock_mat: np.ndarray) -> np.ndarray:
     """kron of raw matrices for internal Hamiltonian assembly."""
     return np.kron(np.asarray(spin_mat, dtype=complex), np.asarray(fock_mat, dtype=complex))
-
-
-def expectation(op: Operator, state: Union[DensityMatrix, np.ndarray]) -> complex:
-    """Tr[rho op] for a density matrix, or <psi|op|psi> for a ket."""
-    if isinstance(state, DensityMatrix):
-        if state.space.dim != op.space.dim:
-            raise ValueError("state and operator dimensions differ")
-        # trace of a product without forming it
-        return complex(np.sum(op.matrix.T * state.matrix))
-    psi = np.asarray(state, dtype=complex)
-    if psi.shape != (op.space.dim,):
-        raise ValueError("ket dimension does not match operator")
-    return complex(np.vdot(psi, op.matrix @ psi))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ Column schemas:
     cool  (cmd_cool)      pulse_index,nbar,t_elapsed_s
     dist                  n,population
     heatrate              delay_s,nbar,nbar_err
-    schedule              index,kind,target_n,duration_s
 
 A shots value of 0 marks noiseless probabilities (--shots inf).
 """

@@ -18,13 +18,12 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .dynamics import ScanResponse, SidebandProbe, fock_cutoff_for_dynamics, scan_response
+from .dynamics import ScanResponse, SidebandProbe, _closed_response, fock_cutoff_for_dynamics
 from .errors import FitError
 from .ion import CODATA, PhysicalConstants, TrapParams
 from .qcore import FockDistribution, thermal_distribution
 
 __all__ = [
-    "SidebandRatio",
     "FitResult",
     "sideband_probability",
     "sideband_scan_probability",
@@ -37,17 +36,6 @@ __all__ = [
 ]
 
 GOLDEN_REL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SidebandRatio:
-    """Ratio r = P(red) / P(blue); thermal states give r = n_bar/(n_bar+1) < 1."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value < 1.0:
-            raise ValueError(f"sideband ratio must be in [0, 1), got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -169,9 +157,10 @@ def _analytic_response(
     return ScanResponse(line, top)
 
 
-def ratio_to_nbar(ratio: SidebandRatio | float) -> float:
-    """Invert r = n_bar / (n_bar + 1); rejects r >= 1 (unphysical for thermal)."""
-    r = ratio.value if isinstance(ratio, SidebandRatio) else float(ratio)
+def ratio_to_nbar(ratio: float) -> float:
+    """Invert the thermal sideband ratio r = P(red) / P(blue) = n_bar / (n_bar + 1);
+    rejects r outside [0, 1) (r >= 1 is unphysical for a thermal state)."""
+    r = float(ratio)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"ratio must be in [0, 1), got {r}")
     return r / (1.0 - r)
@@ -296,14 +285,19 @@ def fit_nbar_spectra(
     than TOP_LEVEL_TOL in the top Fock level.  forward="analytic" builds it from
     the closed-form detuned line shape (equivalent to the effective
     master-equation scan and fast enough for Monte-Carlo studies);
-    forward="integrate", or model="full_dressed", builds it with
-    scan_response, the exact closed-system propagator of the probe
-    Hamiltonian.  omega_dr_hz only enters the full_dressed forward.
+    forward="integrate", or model="full_dressed", builds it with the exact
+    closed-system propagator of the probe Hamiltonian.  omega_dr_hz only
+    enters the full_dressed forward.  Raises ValueError when t_probe_s <= 0
+    or a spectrum is empty.
     """
+    if not t_probe_s > 0:  # NaN included
+        raise ValueError("t_probe_s must be > 0")
     red_x = np.asarray(red.x, dtype=float)
     blue_x = np.asarray(blue.x, dtype=float)
     red_p = np.asarray(red.p_f1, dtype=float)
     blue_p = np.asarray(blue.p_f1, dtype=float)
+    if red_x.size == 0 or blue_x.size == 0:
+        raise ValueError("red and blue spectra must be non-empty")
     eta_omega = eta_eff * omega_hz
 
     # moment hint from the peak ratio when resolvable
@@ -316,10 +310,10 @@ def fit_nbar_spectra(
         pass
     grid = _nbar_grid(hint)
     n_bar_top = float(grid[-1])
+    t_probe = np.array([float(t_probe_s)])
 
     if forward == "analytic" and model == "effective":
         n_max = _auto_n_max(n_bar_top)
-        t_probe = np.array([t_probe_s])
 
         def response(x: np.ndarray, sideband: str) -> ScanResponse:
             return _analytic_response(x, t_probe, sideband, eta_omega, nu_z_hz, n_max)
@@ -332,7 +326,7 @@ def fit_nbar_spectra(
             probe = SidebandProbe(trap=trap, carrier_rabi_hz=omega_hz,
                                   dressing_rabi_hz=omega_dr_hz, sideband=sideband,
                                   sideband_rabi_hz=eta_omega, model=model)
-            return scan_response(probe, x, t_probe_s, n_max)
+            return _closed_response(probe, x, t_probe, n_max)
     return _fit_thermal([(response(red_x, "red"), red_p), (response(blue_x, "blue"), blue_p)],
                         grid, n_max)
 

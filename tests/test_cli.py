@@ -190,6 +190,30 @@ def test_scan_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "scan.csv").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["scan", "--sideband", "red", "--nbar", "inf", "--out", "out.csv"], "--nbar"),
+    (["scan", "--sideband", "red", "--span", "nan", "--out", "out.csv"], "--span"),
+    (["scan", "--sideband", "red", "--probe-heating", "--set", "heating_rate_per_s=inf",
+      "--out", "out.csv"], "heating_rate_per_s"),
+    (["constants", "--set", "probe_time_s=nan"], "probe_time_s"),
+    (["flop", "--sideband", "red", "--tmax", "inf", "--out", "out.csv"], "--tmax"),
+    (["cool", "--nbar0", "inf", "--out", "out.csv"], "--nbar0"),
+    (["heatrate", "--delays", "inf,0", "--out", "out.csv"], "delays"),
+    (["heatrate", "--delays=-1e-3,0", "--out", "out.csv"], "delays"),
+    (["heatrate", "--delays", "0,0", "--out", "out.csv"], "delays"),
+])
+def test_exit_code_2_names_a_bad_number_where_it_enters(tmp_path, capsys, monkeypatch,
+                                                        argv, named):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag value
+        code = exc.code
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_manifest_records_main_argv(tmp_path):
     out = tmp_path / "scan.csv"
     argv = ["scan", "--sideband", "red", "--points", "3", "--shots", "inf",

@@ -32,7 +32,6 @@ from sbcool import (
     heating_collapse_ops,
     mean_phonon,
     motional_populations,
-    scan_response,
     sideband_probability,
     sideband_scan_probability,
     simulate_flop,
@@ -41,7 +40,7 @@ from sbcool import (
     thermal_distribution,
     two_level_space,
 )
-from sbcool.dynamics import _generator
+from sbcool.dynamics import _closed_response, _generator
 from sbcool.qcore import distribution_density
 from sbcool.thermometry import _line_shape
 
@@ -51,6 +50,11 @@ F1 = 394.2770864  # eta * 61.2 kHz
 
 def resonant_probe(sideband="blue", model="effective") -> SidebandProbe:
     return SidebandProbe(sideband=sideband, model=model)
+
+
+def closed_scan_response(probe, grid, t_probe_s, n_max):
+    """The closed engine's response of a scan, as the integrate forward builds it."""
+    return _closed_response(probe, np.asarray(grid, dtype=float), np.array([t_probe_s]), n_max)
 
 
 def test_unitary_matches_lindblad_without_collapse():
@@ -141,6 +145,12 @@ def test_scan_rejects_jobs_below_one(jobs):
         simulate_scan(resonant_probe("blue"), [426.7e3], 1e-3, 0.1, jobs=jobs)
 
 
+@pytest.mark.parametrize("t_probe", [0.0, -1e-3, np.nan])
+def test_scan_rejects_a_probe_time_that_is_not_positive(t_probe):
+    with pytest.raises(ValueError, match="t_probe_s must be > 0"):
+        simulate_scan(resonant_probe("blue"), [426.7e3], t_probe, 0.1)
+
+
 def test_truncation_guard_trips_when_space_too_small():
     times = [0.0, 20e-3]
     with pytest.raises(TruncationError):
@@ -165,7 +175,7 @@ def test_scan_response_matches_forward_solves(model, sideband, keep_carrier):
     probe = SidebandProbe(sideband=sideband, model=model, keep_carrier=keep_carrier)
     grid = probe.resonance_hz() + np.array([-1500.0, 0.0, 700.0])
     n_max = 6
-    response = scan_response(probe, grid, 1.27e-3, n_max)
+    response = closed_scan_response(probe, grid, 1.27e-3, n_max)
     space = probe.space(n_max)
     for n in range(n_max + 1):
         rho0 = distribution_density(FockDistribution(np.eye(n_max + 1)[n]), space, "0'")
@@ -180,7 +190,7 @@ def test_scan_response_matches_line_shape(sideband):
     probe = resonant_probe(sideband)
     grid = probe.resonance_hz() + np.linspace(-3000.0, 3000.0, 13)
     n_max = 10
-    response = scan_response(probe, grid, 1.27e-3, n_max)
+    response = closed_scan_response(probe, grid, 1.27e-3, n_max)
     line = _line_shape(grid, np.array([1.27e-3]), sideband, probe.effective_sideband_rabi_hz,
                        probe.trap.nu_z_hz, n_max)
     # the blue n_max column has no |D, n_max + 1> to transfer to
@@ -216,7 +226,7 @@ def test_response_readout_is_the_forward_solve(problem):
     probe, grid, pops = problem
     n_max = pops.size - 1
     rho0 = distribution_density(FockDistribution(pops), probe.space(n_max), "0'")
-    readout = scan_response(probe, grid, 1.27e-3, n_max).f1 @ pops
+    readout = closed_scan_response(probe, grid, 1.27e-3, n_max).f1 @ pops
     for delta, value in zip(grid, readout):
         assert abs(value - _forward_readout(probe, delta, [1.27e-3], rho0)[0][0]) < 1e-12
 
@@ -231,7 +241,7 @@ def test_engine_guard_trips_on_bad_eigenvectors(monkeypatch, broken):
     monkeypatch.setattr(np.linalg, "eigh", bad_eigh)
     probe = resonant_probe("blue")
     with pytest.raises(IntegrationError, match="propagator column norm drifts"):
-        scan_response(probe, [probe.resonance_hz()], 1.27e-3, 8)
+        closed_scan_response(probe, [probe.resonance_hz()], 1.27e-3, 8)
     with pytest.raises(IntegrationError, match="propagator column norm drifts"):
         simulate_flop(probe, [0.0, 1e-3], 0.13)
 
@@ -247,7 +257,7 @@ def test_engine_rejects_non_hermitian_hamiltonian(monkeypatch):
     monkeypatch.setattr(dynamics, "effective_two_level_hamiltonian", skewed)
     probe = resonant_probe("blue")
     with pytest.raises(ValueError, match="not Hermitian"):
-        scan_response(probe, [probe.resonance_hz()], 1.27e-3, 8)
+        closed_scan_response(probe, [probe.resonance_hz()], 1.27e-3, 8)
 
 
 @pytest.mark.parametrize("times", [[-1e-4, 1e-3], [0.0, 1e-3, 1e-3], [1e-3, 5e-4]])
@@ -267,7 +277,7 @@ def test_closed_scan_and_flop_trip_the_top_level_guard():
 
 def test_scan_response_top_guard_trips_when_space_too_small():
     probe = resonant_probe("blue")
-    response = scan_response(probe, [probe.resonance_hz()], 1.27e-3, 12)
+    response = closed_scan_response(probe, [probe.resonance_hz()], 1.27e-3, 12)
     response.p_f1(thermal_distribution(0.13, 12).populations)
     with pytest.raises(TruncationError):
         response.p_f1(thermal_distribution(2.0, 12).populations)

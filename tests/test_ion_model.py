@@ -12,10 +12,8 @@ import scipy.constants as sc
 
 from sbcool import (
     PhysicalConstants,
-    SPIN_LABELS,
     TrapParams,
     build_dressed_rf_hamiltonian,
-    dressed_states,
     effective_two_level_hamiltonian,
     four_level_space,
     ground_state_extent,
@@ -71,26 +69,6 @@ def test_sideband_rabi_ladder():
         sideband_rabi(-1, "red", eta, omega)
     with pytest.raises(ValueError):
         sideband_rabi(1, "green", eta, omega)
-
-
-def test_dressed_states_structure():
-    kets = dressed_states()
-    labels = list(SPIN_LABELS)
-    ip, im = labels.index("+1"), labels.index("-1")
-    d = kets["D"]
-    assert d[ip] == pytest.approx(1 / math.sqrt(2))
-    assert d[im] == pytest.approx(-1 / math.sqrt(2))
-    # orthonormal triple
-    for a in ("D", "u", "d"):
-        assert np.linalg.norm(kets[a]) == pytest.approx(1.0)
-    assert abs(np.vdot(kets["D"], kets["u"])) < 1e-12
-    assert abs(np.vdot(kets["u"], kets["d"])) < 1e-12
-    # D is the null vector of the symmetric dressing coupling
-    coupling = np.zeros((4, 4))
-    i0 = labels.index("0")
-    coupling[i0, ip] = coupling[ip, i0] = 0.5
-    coupling[i0, im] = coupling[im, i0] = 0.5
-    assert np.linalg.norm(coupling @ d) < 1e-12
 
 
 def _fields(detuning_hz=0.0):

@@ -5,13 +5,15 @@ Frozen oracles below were evaluated from the closed-form thermal lineshape
 f_n^2/(f_n^2 + delta^2)) independently of the package code.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from sbcool import (
+    ExperimentConfig,
     FitError,
     ScanResult,
-    SidebandRatio,
     TruncationError,
     doppler_limit,
     fit_heating_rate,
@@ -21,6 +23,7 @@ from sbcool import (
     ratio_to_nbar,
     sideband_probability,
     sideband_scan_probability,
+    simulate_scan,
     thermal_distribution,
 )
 from sbcool.thermometry import _auto_n_max
@@ -64,12 +67,10 @@ def test_scan_probability_peaks_at_resonance():
 def test_ratio_round_trip():
     for nbar in (0.05, 0.13, 2.0):
         r = nbar / (nbar + 1.0)
-        assert ratio_to_nbar(SidebandRatio(r)) == pytest.approx(nbar, rel=1e-12)
         assert ratio_to_nbar(r) == pytest.approx(nbar, rel=1e-12)
-    with pytest.raises(ValueError):
-        SidebandRatio(1.0)
-    with pytest.raises(ValueError):
-        SidebandRatio(-0.1)
+    for r in (1.0, -0.1):
+        with pytest.raises(ValueError):
+            ratio_to_nbar(r)
 
 
 def _analytic_scan_pair(nbar: float, points: int = 41, span: float = 4000.0):
@@ -97,6 +98,30 @@ def test_fit_nbar_spectra_round_trips():
         assert fit.value == pytest.approx(value, rel=1e-12)
         assert fit.std_error == pytest.approx(std_error, rel=1e-12)
         assert fit.n_evaluations == 55
+        for t_probe in (0.0, np.nan):
+            with pytest.raises(ValueError, match="t_probe_s must be > 0"):
+                fit_nbar_spectra(red, blue, NU, OMEGA_EFF, 32e3, t_probe, ETA, forward=forward)
+        empty = SimpleNamespace(x=np.array([]), p_f1=np.array([]))
+        with pytest.raises(ValueError, match="non-empty"):
+            fit_nbar_spectra(empty, empty, NU, OMEGA_EFF, 32e3, T_PROBE, ETA, forward=forward)
+
+
+def test_fit_nbar_spectra_full_dressed_forward():
+    # noiseless full_dressed scans of the reference configuration at n_bar 0.13
+    cfg = ExperimentConfig()
+    scans = []
+    for sideband in ("red", "blue"):
+        probe = cfg.probe(sideband, model="full_dressed")
+        grid = probe.resonance_hz() + np.linspace(-2000.0, 2000.0, 21)
+        scans.append(simulate_scan(probe, grid, cfg.probe_time_s, 0.13))
+    eta = cfg.eta_eff()
+    args = (cfg.nu_z_hz, cfg.sideband_rabi_1_hz() / eta, cfg.dressing_rabi_hz,
+            cfg.probe_time_s, eta)
+    full = fit_nbar_spectra(*scans, *args, model="full_dressed")
+    effective = fit_nbar_spectra(*scans, *args)
+    assert full.value == pytest.approx(0.13, abs=1e-6)
+    # the effective forward misses the dressed model's shifts
+    assert full.residual_norm < effective.residual_norm
 
 
 def test_fit_nbar_spectra_vacuum_boundary():
