@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration or data-format error, 3 numerical
-failure (integration, truncation, or fit breakdown).  Every run that writes a
-file also writes `<stem>.manifest.json` beside it; CSV bytes are reproducible
-for a fixed config + seed, manifests carry the only timestamp.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 configuration or
+data-format error, 3 numerical failure (integration, truncation, or fit
+breakdown).  Every run that writes a file also writes `<stem>.manifest.json`
+beside it; CSV bytes are reproducible for a fixed config + seed, manifests
+carry the only timestamp.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -482,6 +484,11 @@ def main(argv: list[str] | None = None) -> int:
     except (IntegrationError, TruncationError, FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest to devnull, so the exit flush cannot raise
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

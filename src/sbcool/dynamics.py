@@ -10,12 +10,12 @@ block: 2x2 blocks for the effective model, at most 4 for full_dressed, one
 with keep_carrier.  A closed system (no nonzero collapse operator) is
 propagated exactly; closed scans, flops and the spectrum fit's integrate
 forward share one engine, _closed_response, which reads every initial
-|0', n> at once from |U|^2.  A heated run steps RK45 in the interaction
-picture of H, where the right-hand side is the dissipator alone, on the
-entries of rho reachable from rho0 (_reachable); every other entry stays
-exactly zero.
+|0', n> at once from |U|^2.  A heated run steps the in-package RK45
+(solve_ivp, scipy's RK45 step for step) in the interaction picture of H,
+where the right-hand side is the dissipator alone, on the entries of rho
+reachable from rho0 (_reachable); every other entry stays exactly zero.
 
-Only heated runs import scipy (sparse, csgraph, integrate) and, with jobs > 1,
+Only heated runs import scipy (sparse, csgraph) and, with jobs > 1,
 concurrent.futures; closed runs and fits need numpy alone, since _components
 labels H's blocks in csgraph's order.
 """
@@ -23,7 +23,9 @@ labels H's blocks in csgraph's order.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Sequence, Union
 
 import numpy as np
@@ -90,7 +92,7 @@ class HeatingChannel:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """RK45 tolerances for runs with dissipation.
+    """Tolerances of the in-package RK45 (solve_ivp) for runs with dissipation.
 
     rel_tol     relative tolerance
     abs_tol     absolute tolerance
@@ -370,10 +372,101 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
         yield full(back(np.exp(rate * ti) * y))
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first heated run."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
+# Dormand-Prince 5(4): nodes, stages, 5th-order weights, error weights (5th
+# minus 4th order, stage 7 included) and Shampine's quartic dense output.
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, method="RK45", *, t_eval, rtol=1e-3, atol=1e-6):
+    """Adaptive Dormand-Prince 5(4) from t_span[0] forward to t_span[1],
+    read at t_eval by quartic dense output: scipy.integrate.solve_ivp's RK45
+    (scipy 1.17), operation for operation, for a complex y0 and scalar
+    tolerances, so it takes scipy's steps and returns its values to the bit.
+    That covers the first-step rule, the RMS error norm, the step control
+    (safety 0.9, factors 0.2..10, no growth right after a rejection), the
+    10-ulp minimum step and the rtol >= 100 eps clamp.  Returns a namespace
+    with y (a column per t_eval point reached), nfev, success and message."""
+    if method != "RK45":
+        raise ValueError("only method='RK45' is implemented")
+    t, t_bound = map(float, t_span)
+    if not t < t_bound:
+        raise ValueError("t_span must run forward in time")
+    t_eval = np.asarray(t_eval)
+    eps100 = 100 * np.finfo(float).eps
+    if rtol < eps100:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {eps100})`.", stacklevel=2)
+        rtol = np.maximum(rtol, eps100)
+    y = np.asarray(y0).astype(complex, copy=False)
+    out = np.empty((y.size, t_eval.size), dtype=complex)
+    nfev, done = 0, 0
+
+    def f(ti, yi):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(ti, yi), dtype=complex)
+
+    def result(success: bool, message: str) -> SimpleNamespace:
+        return SimpleNamespace(y=out[:, :done], nfev=nfev, success=success, message=message)
+
+    # first step (Hairer, Norsett & Wanner, Sec. II.4), for an error of order 4
+    f0 = f(t, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
+    d2 = _rms((f(t + h0, y + h0 * f0) - f0) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 5))
+    h_abs = min(100 * h0, h1, t_bound - t)
+    k = np.empty((7, y.size), dtype=complex)
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return result(False, "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            k[0] = f0
+            for s in range(1, 6):
+                k[s] = f(t + _RK_C[s] * h, y + np.dot(k[:s].T, _RK_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _RK_B)
+            k[-1] = f_new = f(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(k.T, _RK_E) * h / scale)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        reached = np.searchsorted(t_eval, t_new, side="right")
+        if reached > done:
+            p = np.cumprod(np.tile((t_eval[done:reached] - t) / h, (4, 1)), axis=0)
+            out[:, done:reached] = h * np.dot(k.T.dot(_RK_P), p) + y[:, None]
+            done = reached
+        t, y, f0 = t_new, y_new, f_new
+    return result(True, "The solver successfully reached the end of the integration interval.")
 
 
 def _validated(space, rhos: Iterable[np.ndarray], t: np.ndarray) -> list[DensityMatrix]:

@@ -215,7 +215,8 @@ def _curvature_std(f: Callable[[float], float], x: float, rss: float,
     in three evaluations of f.
 
     Second difference with (possibly) unequal steps when the lower point is
-    clamped at the n_bar >= 0 boundary.
+    clamped at the n_bar >= 0 boundary.  A curvature that is not > 0 (a
+    residual flat in n_bar, as from one flop point at t = 0) raises FitError.
     """
     h = max(abs(x), 1e-3) * 1e-3
     lo = max(x - h, 0.0)
@@ -227,10 +228,9 @@ def _curvature_std(f: Callable[[float], float], x: float, rss: float,
         d2 = 2.0 * (f_hi - f_x) / h2 ** 2  # one-sided, boundary minimum
     else:
         d2 = 2.0 * (h1 * f_hi + h2 * f_lo - (h1 + h2) * f_x) / (h1 * h2 * (h1 + h2))
-    dof = max(n_points - 1, 1)
-    s2 = rss / dof
-    if d2 <= 0:
-        return 0.0
+    if not d2 > 0:
+        raise FitError("residual is flat at the minimum; the data do not constrain n_bar")
+    s2 = rss / max(n_points - 1, 1)
     return math.sqrt(max(2.0 * s2 / d2, 0.0))
 
 

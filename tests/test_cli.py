@@ -77,6 +77,42 @@ def test_flop_and_fit_round_trip(tmp_path):
     assert run(["fit", out, "--mode", "flop"]) == 0
 
 
+def test_fit_rejects_a_flop_that_cannot_constrain_nbar(tmp_path, capsys):
+    # every n_bar predicts P = 0 at t = 0, so the residual is flat there
+    path = tmp_path / "one.csv"
+    path.write_text("time_s,p_f1,shots\n0,0,0\n")
+    assert run(["fit", path, "--mode", "flop"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the data do not constrain n_bar" in captured.err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_1_and_points_stdout_at_devnull(tmp_path, monkeypatch, capsys):
+    heat = tmp_path / "h.csv"
+    heat.write_text("delay_s,nbar,nbar_err\n0,0.1,0.01\n0.005,0.305,0.01\n")
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert run(["fit", heat, "--mode", "heatrate"]) == 1
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
 def test_fit_spectra_round_trip(tmp_path, capsys):
     red, blue = tmp_path / "r.csv", tmp_path / "b.csv"
     for sideband, path in (("red", red), ("blue", blue)):
@@ -311,13 +347,15 @@ codes.append(run("heatrate", "--delays", "0,5e-3,10e-3", "--out", "rate.csv"))
 seen["cooling"] = scipy_modules()
 codes.append(run("flop", "--sideband", "blue", "--tmax", "1e-3", "--points", "11",
                  "--out", "flop.csv"))
+seen["heated"] = scipy_modules()
 print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
 def test_commands_import_scipy_only_on_the_paths_that_run_it(tmp_path):
     # Start-up is most of a short command's wall time, and scipy.integrate
-    # (with scipy.optimize and scipy.special) is most of start-up.
+    # (with scipy.optimize, special, spatial and fft) would be most of it; a
+    # heated flop integrates with the in-package RK45.
     root = Path(sbcool.__file__).resolve().parents[1]
     config = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -331,3 +369,5 @@ def test_commands_import_scipy_only_on_the_paths_that_run_it(tmp_path):
     assert report["seen"]["closed"] == []
     heavy = ("scipy.integrate", "scipy.optimize")
     assert [m for m in report["seen"]["cooling"] if m.startswith(heavy)] == []
+    heavy += ("scipy.special", "scipy.spatial", "scipy.fft")
+    assert [m for m in report["seen"]["heated"] if m.startswith(heavy)] == []

@@ -5,6 +5,8 @@ resonant two-level pair, d<N>/dt = n_dot for the a/a-dagger pair of collapse
 operators, and the exact thermal red/blue ratio n_bar/(n_bar+1).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -40,7 +42,8 @@ from sbcool import (
     thermal_distribution,
     two_level_space,
 )
-from sbcool.dynamics import _closed_response, _generator
+from sbcool.cli import main
+from sbcool.dynamics import _closed_response, _generator, solve_ivp as rk45
 from sbcool.qcore import distribution_density
 from sbcool.thermometry import _line_shape
 
@@ -702,3 +705,82 @@ def test_probe_resonance_and_rabi_properties():
     assert q.effective_sideband_rabi_hz == pytest.approx(350.0)
     # override rescales the carrier consistently
     assert q.effective_carrier_rabi_hz * q.eta_eff == pytest.approx(350.0, rel=1e-9)
+
+
+def _assert_scipy_steps(ours, ref):
+    """The in-package RK45 took scipy's steps: same outputs to the bit."""
+    assert (ours.success, ours.message, ours.nfev) == (ref.success, ref.message, ref.nfev)
+    assert np.array_equal(ours.y, ref.y)
+
+
+def _both_rk45(fun, t_span, y0, **kwargs):
+    """The in-package RK45 and scipy's on one problem."""
+    return (rk45(fun, t_span, y0, **kwargs),
+            solve_ivp(fun, t_span, y0, method="RK45", **kwargs))
+
+
+@st.composite
+def _linear_systems(draw):
+    """dy/dt = M y on 2..6 complex components with M normal: decay rates
+    from 1 to 1e3 /s (both ends always present) and oscillation rates of
+    1..1e3 rad/s, so the fast modes hold the step near RK45's stability edge,
+    where it is rejected now and then (in 99 of 100 such systems, checked
+    against scipy's step count).  t_eval holds 0 and the end point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 6))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    gamma = 10.0 ** rng.uniform(0.0, 3.0, n)
+    gamma[:2] = 1.0, 1e3
+    omega = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(0.0, 3.0, n)
+    m = q @ np.diag(-gamma + 1j * omega) @ q.conj().T
+    t_end = draw(st.floats(0.01, 0.3))
+    t_eval = np.unique(np.concatenate([[0.0, t_end], rng.uniform(0.0, t_end, 5)]))
+    return ((lambda _t, y: m @ y), (0.0, t_end), rng.normal(size=n) + 1j * rng.normal(size=n),
+            {"t_eval": t_eval, "rtol": 10.0 ** draw(st.floats(-10.0, -3.0)),
+             "atol": 10.0 ** draw(st.floats(-12.0, -6.0))})
+
+
+@settings(max_examples=30)
+@given(_linear_systems())
+def test_rk45_takes_scipys_steps_on_linear_systems(problem):
+    fun, t_span, y0, kwargs = problem
+    _assert_scipy_steps(*_both_rk45(fun, t_span, y0, **kwargs))
+
+
+def test_rk45_stops_at_scipys_minimum_step():
+    # y' = y^2 from y = 1 blows up at t = 1: the step shrinks to ten ulps of
+    # t and the run fails there, after the points before the pole are out
+    ours, ref = _both_rk45(lambda _t, y: y * y, (0.0, 2.0), np.array([1.0 + 0j]),
+                           t_eval=[0.0, 0.5, 0.9, 2.0], rtol=1e-6, atol=1e-9)
+    assert not ours.success and ours.y.shape == (1, 3)
+    assert ours.message == "Required step size is less than spacing between numbers."
+    _assert_scipy_steps(ours, ref)
+
+
+def test_rk45_clamps_rtol_as_scipy_does():
+    with pytest.warns(UserWarning, match="rtol") as record:
+        ours, ref = _both_rk45(lambda _t, y: (-1.0 + 5j) * y, (0.0, 1.0),
+                               np.array([1.0 + 1j, 0.5j]), t_eval=[0.0, 0.3, 1.0],
+                               rtol=1e-16, atol=1e-12)
+    assert len(record) == 2 and str(record[0].message) == str(record[1].message)
+    _assert_scipy_steps(ours, ref)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sideband", "red", "--tmax", "10e-3"],
+    ["--sideband", "blue", "--tmax", "2e-3", "--points", "41", "--model", "full_dressed"],
+])
+def test_heated_flops_integrate_with_scipys_steps(monkeypatch, tmp_path, argv):
+    # demos/reference.cfg heats at 41 quanta/s: every detuning is one RK45 run
+    compared = []
+
+    def both(fun, t_span, y0, method, **kwargs):
+        ours, ref = _both_rk45(fun, t_span, y0, **kwargs)
+        _assert_scipy_steps(ours, ref)
+        compared.append(ours.nfev)
+        return ours
+
+    monkeypatch.setattr(dynamics, "solve_ivp", both)
+    config = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
+    assert main(["flop", *argv, "--config", str(config), "--out", str(tmp_path / "f.csv")]) == 0
+    assert len(compared) == 1

@@ -26,6 +26,7 @@ from sbcool import (
     simulate_scan,
     thermal_distribution,
 )
+from sbcool.dynamics import ScanResponse
 from sbcool.thermometry import _auto_n_max
 
 F1 = 394.2770864367975
@@ -156,6 +157,17 @@ def test_fit_nbar_flop_guards_the_top_level(monkeypatch):
     monkeypatch.setattr("sbcool.thermometry._auto_n_max", lambda n_bar: 3)
     with pytest.raises(TruncationError, match="top Fock level"):
         fit_nbar_flop(flop, F1)
+
+
+def test_fit_nbar_spectra_rejects_a_flat_residual(monkeypatch):
+    # a forward that reads P = 0 for every n_bar leaves the residual flat
+    def flat(x, t, sideband, eta_omega, nu_z, n_max):
+        return ScanResponse(np.zeros((x.size, n_max + 1)), np.zeros((x.size, n_max + 1)))
+
+    monkeypatch.setattr("sbcool.thermometry._analytic_response", flat)
+    red, blue = _analytic_scan_pair(0.13)
+    with pytest.raises(FitError, match="do not constrain n_bar"):
+        fit_nbar_spectra(red, blue, NU, OMEGA_EFF, 32e3, T_PROBE, ETA)
 
 
 def test_fit_heating_rate_exact_on_collinear_points():
