@@ -14,6 +14,9 @@ forward share one engine, _closed_response, which reads every initial
 (solve_ivp, scipy's RK45 step for step) in the interaction picture of H,
 where the right-hand side is the dissipator alone, on the entries of rho
 reachable from rho0 (_reachable); every other entry stays exactly zero.
+Heated flops and scans read P(F=1) from those kept entries, checked block by
+block (_kept_populations), and build no D x D state; evolve_lindblad builds
+and validates the full states from the same integrator output.
 
 Only heated runs import scipy (sparse, csgraph) and, with jobs > 1,
 concurrent.futures; closed runs and fits need numpy alone, since _components
@@ -49,7 +52,6 @@ from .qcore import (
     identity_op,
     lowering_op,
     mean_phonon,
-    motional_populations,
     tensor,
     thermal_distribution,
 )
@@ -77,6 +79,10 @@ TOP_LEVEL_TOL = 1e-6
 # Trace drift above this aborts with diagnostics; the contract at default
 # tolerances is tighter (< 1e-8) and is asserted by tests.
 TRACE_DRIFT_ABORT = 1e-6
+# Slack outside [0, 1] that ScanResult clips; past it a readout is an error.
+_P_SLACK = 1e-7
+# DensityMatrix's tolerances for integrator output.
+_STATE_TOLS = dict(herm_tol=1e-10, trace_tol=1e-6, psd_tol=1e-7)
 
 
 @dataclass(frozen=True)
@@ -215,10 +221,11 @@ def evolve_lindblad(
     starts from t = 0 with rho0.  A closed system (no nonzero collapse
     operator) is propagated exactly, block by block of H; anything else is
     integrated with RK45 on the entries reachable from rho0 in the
-    interaction picture of H.  Output states are validated (finite,
-    Hermitian, unit trace, positive) with tolerances appropriate for
-    integrator output; a state that fails them, or a trace drift beyond
-    1e-6, raises IntegrationError.
+    interaction picture of H, and each full state is built from those.
+    Output states are validated (finite, Hermitian, unit trace, positive)
+    with tolerances appropriate for integrator output; a state that fails
+    them, or a trace drift beyond 1e-6, raises IntegrationError.  Heated
+    flops and scans read the same integrator output without this function.
     """
     t = _time_grid(times)
     if rho0.space.dim != model.space.dim:
@@ -228,7 +235,8 @@ def evolve_lindblad(
     if not l_mats:
         rhos = _propagate_closed(model.hamiltonian.matrix, rho0.matrix, t)
     else:
-        rhos = _integrate(model.hamiltonian.matrix, l_mats, rho0.matrix, t, cfg)
+        keep, x = _integrate(model.hamiltonian.matrix, l_mats, rho0.matrix, t, cfg)
+        rhos = (_full(model.space.dim, keep, col) for col in x.T)
     return _validated(model.space, rhos, t)
 
 
@@ -251,10 +259,11 @@ def _components(linked: np.ndarray) -> tuple[int, np.ndarray]:
     return lowest.size, labels
 
 
-def _blocks(h_mat: np.ndarray) -> list[np.ndarray]:
-    """The invariant blocks of H, the connected components of its sparsity
-    graph: one index array per size, whose row k is the k-th such block."""
-    _, labels = _components(h_mat != 0)
+def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """The blocks of a boolean pattern, the connected components of its
+    graph (H's invariant blocks for h != 0, a state's for its kept entries):
+    one index array per size, whose row k is the k-th such block."""
+    _, labels = _components(pattern)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
@@ -267,7 +276,7 @@ def _eig_blocks(h_mat: np.ndarray) -> tuple[np.ndarray, list]:
     and per block size its index rows with one batched eigh's eigenvectors."""
     evals = np.empty(h_mat.shape[0])
     blocks = []
-    for idx in _blocks(h_mat):
+    for idx in _blocks(h_mat != 0):
         w, v = np.linalg.eigh(h_mat[idx[:, :, None], idx[:, None, :]])
         evals[idx] = w
         blocks.append((idx, v))
@@ -317,13 +326,17 @@ def _reachable(h_mat: np.ndarray, l_mats: list[np.ndarray],
 
 
 def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray,
-               t: np.ndarray, cfg: IntegratorConfig) -> Iterator[np.ndarray]:
+               t: np.ndarray, cfg: IntegratorConfig) -> tuple[np.ndarray, np.ndarray]:
     """RK45 on the reachable entries in the interaction picture of H: in H's
     eigenbasis rho_ab = phi_ab y_ab, phi_ab = e^{-i (lambda_a - lambda_b) t},
     and dy/dt = conj(phi) (D~ (phi y)) with D~ = sum_k D[V' L_k V], the
     dissipator alone.  V maps each reachable rectangle to itself.  D~ and V
     act as sparse matrices on the m kept entries, or, for blocks of s levels
-    with m s^2 > D^3, as dense products on the full matrix."""
+    with m s^2 > D^3, as dense products on the full matrix.
+
+    Returns (keep, x): the sorted flat indices of the m reachable entries and
+    x (m x T), their lab-basis values at every time (one sparse product, or
+    in place time by time on the dense branch); every other entry is zero."""
     import scipy.sparse as sp
     dim = h_mat.shape[0]
     evals, blocks = _eig_blocks(h_mat)
@@ -336,11 +349,6 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
     rate = -1j * (evals[:, None] - evals).reshape(-1)[keep]
     ls = [vh @ sp.csr_array(l) @ v for l in l_mats]
 
-    def full(x: np.ndarray) -> np.ndarray:
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat.flat[keep] = x
-        return mat
-
     s = max(idx.shape[1] for idx, _ in blocks)
     if keep.size * s * s <= dim ** 3:  # about m s^2 entries each
         dis = _generator(sp.csr_array(h_mat.shape, dtype=complex), ls, keep).__matmul__
@@ -350,12 +358,14 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
         drain = sum(-0.5 * lh @ l for l, lh in pairs)
 
         def dis(x: np.ndarray) -> np.ndarray:
-            mat = full(x)
+            mat = _full(dim, keep, x)
             out = drain @ mat + mat @ drain + sum(l @ mat @ lh for l, lh in pairs)
             return out.reshape(-1)[keep]
 
         def back(x: np.ndarray) -> np.ndarray:
-            return (vd @ full(x) @ vd.conj().T).reshape(-1)[keep]
+            for j, col in enumerate(x.T):
+                x[:, j] = (vd @ _full(dim, keep, col) @ vd.conj().T).reshape(-1)[keep]
+            return x
 
     def rhs(ti: float, y: np.ndarray) -> np.ndarray:
         phase = np.exp(rate * ti)
@@ -368,8 +378,17 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
         if not sol.success:
             raise IntegrationError(f"integrator failed: {sol.message}")
         ys = sol.y
-    for ti, y in zip(t, ys.T):
-        yield full(back(np.exp(rate * ti) * y))
+    x = rate[:, None] * t  # phases in place: beside sol.y, one m x T array is made here
+    np.exp(x, out=x)
+    x *= ys
+    return keep, back(x)
+
+
+def _full(dim: int, keep: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The D x D matrix whose entries at the flat indices keep are x, zero elsewhere."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat.flat[keep] = x
+    return mat
 
 
 # Dormand-Prince 5(4): nodes, stages, 5th-order weights, error weights (5th
@@ -478,12 +497,49 @@ def _validated(space, rhos: Iterable[np.ndarray], t: np.ndarray) -> list[Density
             raise IntegrationError(
                 f"trace drift {drift:.3e} at t={ti:.6g} s exceeds {TRACE_DRIFT_ABORT:.0e}")
         try:
-            states.append(DensityMatrix(space, rho,
-                                        herm_tol=1e-10, trace_tol=1e-6, psd_tol=1e-7))
+            states.append(DensityMatrix(space, rho, **_STATE_TOLS))
         except ValueError as exc:
             raise IntegrationError(
                 f"integrator output at t={ti:.6g} s is not a valid state: {exc}") from exc
     return states
+
+
+def _kept_populations(space, keep: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Populations (T x D) of the states whose entries at the flat indices
+    keep are x's columns (zero elsewhere), checked as _validated checks them.
+
+    Each state is block-diagonal over the components of keep's pattern: the
+    trace comes from the kept diagonal, summed as trace() sums it, and per
+    block size one batched pass over (T, blocks, s, s) checks finiteness,
+    Hermiticity and, by one Cholesky of herm + psd_tol I, positivity.  It
+    can only accept: on any failure _validated replays on the full matrices,
+    so every error, message and eigvalsh fallback is _validated's."""
+    dim = space.dim
+    pos = np.full(dim * dim, keep.size)  # entries off keep read the zero row
+    pos[keep] = np.arange(keep.size)
+    xz = np.vstack([x, np.zeros((1, x.shape[1]))])
+    diag = np.ascontiguousarray(xz[pos[::dim + 1]].T)  # rows sum as trace() does
+
+    def accepted() -> bool:
+        drift = np.abs(diag.sum(axis=1) - 1.0)
+        if not np.all(drift <= min(TRACE_DRIFT_ABORT, _STATE_TOLS["trace_tol"])):  # NaN fails
+            return False
+        for idx in _blocks((pos < keep.size).reshape(dim, dim)):
+            rho = np.moveaxis(xz[pos[idx[:, :, None] * dim + idx[:, None, :]]], -1, 0)
+            adj = rho.conj().swapaxes(-1, -2)
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the test
+                if not np.abs(rho - adj).max() <= _STATE_TOLS["herm_tol"]:
+                    return False
+            shifted = (rho + adj) / 2.0 + _STATE_TOLS["psd_tol"] * np.eye(idx.shape[1])
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                return False
+        return True
+
+    if not accepted():
+        _validated(space, (_full(dim, keep, col) for col in x.T), t)
+    return diag.real
 
 
 def evolve_unitary(hamiltonian: Operator, rho0: DensityMatrix,
@@ -537,10 +593,11 @@ def _dark_rows(space: ProductSpace) -> slice:
     return slice(first, first + space.fock.dim)
 
 
-def _p_f1(state: DensityMatrix) -> float:
-    """P(F=1) = 1 - P(|0'>), the diagonal outside the |0'> rows: ideal detection
-    reads |0'> as dark and every other internal level as bright (F=1)."""
-    return float(np.delete(state.populations(), _dark_rows(state.space)).sum())
+def _p_f1(space: ProductSpace, populations: np.ndarray) -> np.ndarray:
+    """P(F=1) = 1 - P(|0'>), the populations (last axis) outside the |0'> rows:
+    ideal detection reads |0'> as dark and every other internal level as
+    bright (F=1)."""
+    return np.delete(populations, _dark_rows(space), axis=-1).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -558,7 +615,7 @@ class ScanResult:
             raise ValueError("x and p_f1 must be matching 1-D arrays")
         if np.any(np.diff(x) <= 0):
             raise ValueError("x grid must be strictly increasing")
-        if p.min() < -1e-7 or p.max() > 1.0 + 1e-7:
+        if p.min() < -_P_SLACK or p.max() > 1.0 + _P_SLACK:
             raise ValueError(f"probabilities outside [0, 1]: [{p.min()}, {p.max()}]")
         p = np.clip(p, 0.0, 1.0)
         x.setflags(write=False)
@@ -678,30 +735,39 @@ def _read_f1(probe: SidebandProbe, deltas: np.ndarray, times: np.ndarray,
              initial: InitialState, heating: HeatingChannel | None,
              cfg: IntegratorConfig, n_max: int | None, jobs: int) -> np.ndarray:
     """P(F=1) at every (detuning, time) pair, detuning-major: the closed
-    engine, or one RK45 run per detuning (in a pool when jobs > 1) if heated."""
+    engine, or one RK45 run per detuning (in a pool when jobs > 1) if heated.
+    A readout outside [0, 1] by more than _P_SLACK raises IntegrationError."""
     n_dot = heating.n_dot if heating is not None else 0.0
     if n_max is None:
         n_max = _pick_n_max(initial, n_dot, float(times[-1]))
     dist0 = _initial_distribution(initial, n_max)
     if n_dot == 0.0:
-        return _closed_response(probe, deltas, times, n_max).p_f1(dist0.populations)
-    rho0 = distribution_density(dist0, probe.space(n_max), "0'")
-    collapse = tuple(heating_collapse_ops(heating, rho0.space))
-    tasks = [(probe, float(d), times, rho0, collapse, cfg) for d in deltas]
-    if jobs == 1:
-        return np.concatenate([_heated_point(task) for task in tasks])
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return np.concatenate(list(pool.map(_heated_point, tasks)))
+        p = _closed_response(probe, deltas, times, n_max).p_f1(dist0.populations)
+    else:
+        rho0 = distribution_density(dist0, probe.space(n_max), "0'")
+        collapse = tuple(heating_collapse_ops(heating, rho0.space))
+        tasks = [(probe, float(d), times, rho0, collapse, cfg) for d in deltas]
+        if jobs == 1:
+            p = np.concatenate([_heated_point(task) for task in tasks])
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                p = np.concatenate(list(pool.map(_heated_point, tasks)))
+    if not (np.all(p >= -_P_SLACK) and np.all(p <= 1.0 + _P_SLACK)):  # NaN fails
+        raise IntegrationError(f"engine readout P(F=1) outside [0, 1]: [{p.min()}, {p.max()}]")
+    return p
 
 
 def _heated_point(args) -> np.ndarray:
-    """P(F=1) at one detuning and every time; checks the last state's top level."""
+    """P(F=1) at one detuning and every time, read from the kept entries with
+    no D x D state built; checks every state and the last one's top level."""
     probe, delta_hz, times, rho0, collapse, cfg = args
-    h = probe.hamiltonian(rho0.space, delta_hz)
-    states = evolve_lindblad(LindbladModel(h, collapse), rho0, times, cfg)
-    _check_top(float(motional_populations(states[-1])[-1]))
-    return np.array([_p_f1(s) for s in states])
+    space = rho0.space
+    h = LindbladModel(probe.hamiltonian(space, delta_hz), collapse).hamiltonian.matrix
+    keep, x = _integrate(h, _nonzero_ops(collapse), rho0.matrix, times, cfg)
+    pops = _kept_populations(space, keep, x, times)
+    _check_top(float(pops[-1].reshape(space.spin.dim, space.fock.dim).sum(axis=0)[-1]))
+    return _p_f1(space, pops)
 
 
 def simulate_scan(
@@ -769,7 +835,7 @@ def _closed_response(probe: SidebandProbe, deltas: np.ndarray, times: np.ndarray
     top = np.arange(space.dim) % fd == fd - 1  # level n_max of every spin state
     f1 = np.empty((deltas.size, times.size, fd))
     top_rows = np.empty_like(f1)
-    for idx in _blocks(h):
+    for idx in _blocks(h != 0):
         is_dark = dark[idx]
         cols = np.flatnonzero(is_dark.any(axis=0))  # local columns to read
         k, a = np.nonzero(is_dark)

@@ -191,6 +191,29 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, engine", [
+    ("--no-heating", "_closed_response"),
+    (None, "_heated_point"),
+])
+def test_exit_code_3_when_the_engine_reads_out_of_range(tmp_path, capsys, monkeypatch,
+                                                        flag, engine):
+    # a readout 1e-3 below 0 is a numerical failure, not a bad input
+    import sbcool.dynamics as dynamics
+    real = getattr(dynamics, engine)
+
+    def shifted(*args):
+        out = real(*args)
+        if engine == "_closed_response":
+            return dynamics.ScanResponse(out.f1 - 1e-3, out.top)
+        return out - 1e-3
+    monkeypatch.setattr(dynamics, engine, shifted)
+    code = run(["flop", "--sideband", "red", "--tmax", "1e-3", "--points", "5",
+                *([flag] if flag else []), "--out", tmp_path / "flop.csv"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "outside [0, 1]" in err
+
+
 def test_exit_code_3_when_integrator_output_is_not_a_state(tmp_path, capsys):
     # loose tolerances let the integrator return a non-positive state
     code = run(["flop", "--sideband", "blue", "--tmax", "5e-3", "--points", "21",

@@ -156,7 +156,7 @@ def test_scan_rejects_a_probe_time_that_is_not_positive(t_probe):
 
 def test_truncation_guard_trips_when_space_too_small():
     times = [0.0, 20e-3]
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="top Fock level"):
         simulate_flop(resonant_probe("blue"), times, 2.0,
                       heating=HeatingChannel(500.0), n_max=8)
 
@@ -165,7 +165,7 @@ def _forward_readout(probe, delta_hz, times, rho0):
     """P(F=1) and top-level population by evolve_lindblad, one solve per call."""
     model = LindbladModel(probe.hamiltonian(rho0.space, delta_hz))
     states = evolve_lindblad(model, rho0, times)
-    return (np.array([dynamics._p_f1(s) for s in states]),
+    return (np.array([dynamics._p_f1(s.space, s.populations()) for s in states]),
             np.array([motional_populations(s)[-1] for s in states]))
 
 
