@@ -7,22 +7,23 @@ populations: every level transfers down with its own sin^2 probability during
 each pulse, and motional heating acts as a birth-death process over each
 pulse's wall-clock duration.
 
-Heating is propagated exactly in the eigenbasis of its symmetric tridiagonal
-generator, from one eigh_tridiagonal per run, imported from scipy.linalg
-when the propagator is built.  Windows with nothing between them are one
-propagation, so heating is deferred: after each transfer the rate map keeps
-the eigen-coordinates and sums the heating that follows, reads each n_bar row
-and top-bin population from them, and forms the population vector only
-before the next transfer, before a recoil step and at the end.
-A recoil-free cycle therefore costs two D x D products.  The top-bin guard
-(TOP_BIN_TOL) is checked after every schedule entry; the negative-roundoff
-bound (CLIP_TOL) on every formed heated state and on every master-equation
-pulse of the twin.
+Heating is propagated by uniformization (_heat).  The generator Q has exit
+rates below L = 2 n_max + 1, so P = I + Q / L is column-stochastic and
+tridiagonal, and exp(s Q) p = sum_k Pois(k; L s) P^k p: a sum of
+non-negative terms, each one tridiagonal product.  The series stops at the
+first k with k + 1 > L s and w_k L s / (k + 1 - L s) <= 1e-16, a bound on
+the weight of every later term, and a window with L s > 500 is split so
+that exp(-L s) cannot underflow.  Windows with nothing between them
+compose, exp(aQ) exp(bQ) = exp((a+b)Q), so the rate map heats each stretch
+of entries between two transfer (or recoil) steps with one series, and
+reads every entry's state as one row of the weight matrix times the terms.
+The top-bin guard (TOP_BIN_TOL) is checked after every schedule entry.
 
 A master-equation twin (simulate_cooling_quantum) runs the same schedule on
 the effective two-level model with projective repumping; it exists to
 cross-validate the rate map and is exact for the same physics, so the two
-agree to integrator tolerance when heating is off.
+agree to integrator tolerance when heating is off.  Each of its pulses may
+clip at most CLIP_TOL of negative roundoff.
 """
 
 from __future__ import annotations
@@ -43,10 +44,8 @@ from .dynamics import (
 )
 from .ion import effective_two_level_hamiltonian, two_level_space
 from .qcore import (
-    DensityMatrix,
     FockDistribution,
     distribution_density,
-    mean_phonon,
     motional_populations,
 )
 
@@ -64,8 +63,12 @@ __all__ = [
 
 # Population allowed in the top bin before the rate map refuses to continue.
 TOP_BIN_TOL = 1e-4
-# Negative probability the heating propagator may clip as roundoff.
+# Negative probability a master-equation pulse of the twin may clip as roundoff.
 CLIP_TOL = 1e-9
+# Weight of the Poisson terms a heating series may drop.
+POISSON_TAIL = 1e-16
+# Largest L s one series takes; exp(-L s) underflows past about 745.
+SPLIT_LS = 500.0
 
 SIDEBAND_KIND = "red_sideband"
 REPUMP_KIND = "repump"
@@ -82,8 +85,8 @@ class PulseSpec:
     def __post_init__(self) -> None:
         if self.kind not in (SIDEBAND_KIND, REPUMP_KIND):
             raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if self.duration_s < 0:
-            raise ValueError("duration_s must be >= 0")
+        if not 0.0 <= self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and >= 0, got {self.duration_s!r}")
         if self.kind == SIDEBAND_KIND:
             if self.target_n is None or self.target_n < 1:
                 raise ValueError("sideband pulses need target_n >= 1")
@@ -106,8 +109,8 @@ class RepumpModel:
     recoil_quanta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.pi_time_s < 0 or self.pump_time_s < 0:
-            raise ValueError("times must be >= 0")
+        if not (0.0 <= self.pi_time_s < math.inf and 0.0 <= self.pump_time_s < math.inf):
+            raise ValueError(f"times must be finite and >= 0: {self.pi_time_s!r}, {self.pump_time_s!r}")
         if self.extra_swaps < 0:
             raise ValueError("extra_swaps must be >= 0")
         if self.recoil_quanta < 0:
@@ -174,54 +177,51 @@ def schedule_total_time(schedule: PulseSchedule,
 # distribution-level heating
 
 
-def _clip_roundoff(p: np.ndarray, source: str) -> np.ndarray:
-    """Clip negative roundoff from populations and renormalise; raises
-    IntegrationError, naming source and the magnitude, when the clipped
-    negative mass exceeds CLIP_TOL."""
-    clipped = -float(p[p < 0.0].sum())
-    if clipped > CLIP_TOL:
-        raise IntegrationError(
-            f"{source} left {clipped:.3e} negative probability "
-            f"(> {CLIP_TOL:.0e} roundoff allowance)")
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+def _last_term(lam_s: float) -> int:
+    """Index of the last Poisson(lam_s) term a heating series keeps.  Past
+    k + 1 > lam_s the weights w_k fall at least geometrically, by lam_s / (k + 1),
+    so w_k lam_s / (k + 1 - lam_s) bounds the weight of all later terms."""
+    k, w = 0, math.exp(-lam_s)
+    while k + 1 <= lam_s or w * lam_s > POISSON_TAIL * (k + 1 - lam_s):
+        k += 1
+        w *= lam_s / k
+    return k
 
 
-class _HeatingPropagator:
-    """exp(ndot t Q) on population vectors for the birth-death generator Q with
-    up-rate (n+1) and down-rate n, truncated reflectively at n_max.
+def _heat(p: np.ndarray, s: Sequence[float]) -> np.ndarray:
+    """States exp(s_j Q) p, one row per entry of the non-decreasing s, the
+    accumulated n_dot * t.  Q has up-rate n + 1 and down-rate n, and no birth
+    out of the top bin.  Each row is sum_k Pois(k; L s_j) P^k p, P = I + Q / L,
+    with L = 2 n_max + 1; the series is split past L s = SPLIT_LS."""
+    s = np.asarray(s, dtype=float)
+    lam = 2.0 * p.size - 1.0
+    if not math.isfinite(lam * s[-1]):
+        raise ValueError(f"heating n_dot * t = {s[-1]!r} is not finite")
+    n = np.arange(p.size, dtype=float)
+    stay = 1.0 - (2.0 * n + 1.0) / lam
+    stay[-1] = 1.0 - n[-1] / lam
+    hop = n[1:] / lam  # edge n-1 <-> n carries rate n either way
 
-    Q is symmetric tridiagonal (up element n+1 equals the down element across
-    the same edge), so one eigh_tridiagonal per n_max, Q = V diag(lam) V^T,
-    gives exact propagation p -> V (exp(lam ndot t) * V^T p); the dense Q is
-    never built.  Heating windows with nothing between them compose,
-    exp(aQ) exp(bQ) = exp((a+b)Q), so a caller may keep the eigen-coordinates
-    c = V^T p, add up windows, and read n_bar and the top bin from
-    readout @ weights(c, s) before forming the state once.  Columns of Q sum
-    to zero: probability is conserved to roundoff.  form() clips negative
-    roundoff and raises IntegrationError past CLIP_TOL.
-    """
+    def series(p, lam_s):
+        terms = np.empty((_last_term(lam_s[-1]) + 1, p.size))
+        terms[0] = p
+        for x, y in zip(terms, terms[1:]):
+            np.multiply(stay, x, out=y)
+            y[1:] += hop * x[:-1]
+            y[:-1] += hop * x[1:]
+        ratios = lam_s[:, None] / np.arange(1.0, len(terms))
+        weights = np.cumprod(np.column_stack([np.exp(-lam_s), ratios]), axis=1)
+        return weights @ terms
 
-    def __init__(self, n_max: int) -> None:
-        from scipy.linalg import eigh_tridiagonal
-        n = np.arange(n_max + 1.0)
-        diag = -(2.0 * n + 1.0)
-        diag[-1] = -float(n_max)  # no birth out of the top bin
-        # edge n-1 <-> n carries rate n
-        self.evals, self.vecs = eigh_tridiagonal(diag, n[1:])
-        # rows: n_bar and top-bin population of the state V w
-        self.readout = np.vstack([n @ self.vecs, self.vecs[-1]])
-
-    def weights(self, c: np.ndarray, n_dot_t: float) -> np.ndarray:
-        return np.exp(self.evals * n_dot_t) * c
-
-    def form(self, w: np.ndarray) -> np.ndarray:
-        return _clip_roundoff(self.vecs @ w, "heating propagation")
-
-    def apply(self, p: np.ndarray, n_dot_t: float) -> np.ndarray:
-        if n_dot_t == 0.0:
-            return p
-        return self.form(self.weights(self.vecs.T @ p, n_dot_t))
+    rows = []
+    step = SPLIT_LS / lam
+    while lam * s[-1] > SPLIT_LS:
+        cut = int(np.searchsorted(s, step, side="right"))
+        block = series(p, lam * np.append(s[:cut], step))
+        rows.append(block[:-1])
+        p, s = block[-1], s[cut:] - step
+    rows.append(series(p, lam * s))
+    return np.concatenate(rows)
 
 
 def heat_distribution(dist: FockDistribution, n_dot: float, dt: float) -> FockDistribution:
@@ -230,12 +230,10 @@ def heat_distribution(dist: FockDistribution, n_dot: float, dt: float) -> FockDi
     Exact propagation of the truncated birth-death process; the mean grows by
     ndot * dt while the top bin stays empty.
     """
-    if n_dot < 0 or dt < 0:
-        raise ValueError("n_dot and dt must be >= 0")
-    if n_dot == 0.0 or dt == 0.0:
-        return dist
-    prop = _HeatingPropagator(dist.n_max)
-    return FockDistribution(prop.apply(np.array(dist.populations), n_dot * dt),
+    for name, value in (("n_dot", n_dot), ("dt", dt)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return FockDistribution(_heat(dist.populations, [n_dot * dt])[0],
                             truncation_loss=dist.truncation_loss)
 
 
@@ -303,10 +301,10 @@ def simulate_cooling(
 
     Each sideband pulse moves population down with per-level sin^2
     probabilities; heating acts over every pulse's wall-clock duration; the
-    repump resets spin implicitly and applies recoil if configured.  Heating
-    between transfers is deferred and propagated once (see the module
-    docstring).  Raises TruncationError if the top bin holds more than 1e-4
-    after any schedule entry.
+    repump resets spin implicitly and applies recoil if configured.  The
+    heating of each stretch between two transfer or recoil steps is one
+    series (see the module docstring).  Raises TruncationError if the top bin
+    holds more than 1e-4 after any schedule entry.
     """
     if n_max is None:
         n_max = max(schedule.n_start + 150, dist0.n_max)
@@ -316,53 +314,55 @@ def simulate_cooling(
     p[: dist0.n_max + 1] = dist0.populations
 
     n_dot = heating.n_dot if heating is not None else 0.0
-    prop = _HeatingPropagator(n_max) if n_dot > 0 else None
     rabi_1 = schedule.sideband_rabi_1_hz
     levels = np.arange(p.size)
 
-    idx = [0]
-    nbars = [float(levels @ p)]
-    elapsed = [0.0]
-    t = 0.0
-    k = 0
-    pending_transfer = 0.0
-    # heating since p last changed: c = V^T p, accumulated n_dot * time s
-    c, s = None, 0.0
+    idx, nbars, elapsed = [0], [float(levels @ p)], [0.0]
+    t, k, transferred = 0.0, 0, 0.0
+    pulses = schedule.pulses
+    # each stretch starts at a step that changes p, or at the first entry
+    starts = [i for i, pulse in enumerate(pulses)
+              if i == 0 or pulse.kind == SIDEBAND_KIND or repump.recoil_quanta > 0]
 
-    for pulse in schedule.pulses:
-        if pulse.kind == SIDEBAND_KIND or repump.recoil_quanta > 0:
-            if c is not None:
-                p, c = prop.form(prop.weights(c, s)), None
+    for a, b in zip(starts, starts[1:] + [len(pulses)]):
+        stretch = pulses[a:b]
+        if stretch[0].kind == SIDEBAND_KIND:
+            p, moved = _apply_transfer(p, rabi_1, stretch[0].duration_s)
+            transferred = float(moved.sum())
+        elif repump.recoil_quanta > 0:
+            p = _apply_recoil(p, transferred, repump.recoil_quanta)
+            transferred = 0.0
+        rows = _heat(p, np.cumsum([n_dot * pulse.duration_s for pulse in stretch]))
+        for pulse, row in zip(stretch, rows):
+            t += pulse.duration_s
             if pulse.kind == SIDEBAND_KIND:
-                p, moved = _apply_transfer(p, rabi_1, pulse.duration_s)
-                pending_transfer = float(moved.sum())
+                k += 1
+                idx.append(k)
+                nbars.append(float(levels @ row))
+                elapsed.append(t)
             else:
-                p = _apply_recoil(p, pending_transfer, repump.recoil_quanta)
-                pending_transfer = 0.0
-        if prop is not None:
-            if c is None:
-                c, s = prop.vecs.T @ p, 0.0
-            s += n_dot * pulse.duration_s
-            nbar, top = prop.readout @ prop.weights(c, s)
-        else:
-            nbar, top = levels @ p, p[-1]
-        t += pulse.duration_s
-        if pulse.kind == SIDEBAND_KIND:
-            k += 1
-            idx.append(k)
-            nbars.append(float(nbar))
-            elapsed.append(t)
-        else:
-            # repump time counts toward the trajectory clock of the last row
-            elapsed[-1] = t
-        if top > TOP_BIN_TOL:
-            raise TruncationError(
-                f"top bin population {top:.3e} > {TOP_BIN_TOL:.0e} at pulse {k}")
+                # repump time counts toward the trajectory clock of the last row
+                elapsed[-1] = t
+            if row[-1] > TOP_BIN_TOL:
+                raise TruncationError(
+                    f"top bin population {row[-1]:.3e} > {TOP_BIN_TOL:.0e} at pulse {k}")
+        p = rows[-1]
 
-    if c is not None:
-        p = prop.form(prop.weights(c, s))
     final = FockDistribution(p / p.sum(), truncation_loss=dist0.truncation_loss)
     return CoolingResult(final, np.array(idx), np.array(nbars), np.array(elapsed))
+
+
+def _clip_roundoff(p: np.ndarray, source: str) -> np.ndarray:
+    """Clip negative roundoff from populations and renormalise; raises
+    IntegrationError, naming source and the magnitude, when the clipped
+    negative mass exceeds CLIP_TOL."""
+    clipped = -float(p[p < 0.0].sum())
+    if clipped > CLIP_TOL:
+        raise IntegrationError(
+            f"{source} left {clipped:.3e} negative probability "
+            f"(> {CLIP_TOL:.0e} roundoff allowance)")
+    p = np.clip(p, 0.0, None)
+    return p / p.sum()
 
 
 def simulate_cooling_quantum(
@@ -388,7 +388,6 @@ def simulate_cooling_quantum(
     if n_dot > 0:
         collapse = tuple(heating_collapse_ops(heating, space))
     model = LindbladModel(h, collapse)
-    prop = _HeatingPropagator(n_max) if n_dot > 0 else None
 
     pad = np.zeros(n_max + 1)
     pad[: dist0.n_max + 1] = dist0.populations
@@ -412,8 +411,7 @@ def simulate_cooling_quantum(
             elapsed.append(t)
         else:
             # projective repump; heating still runs on the motional register
-            if prop is not None and pulse.duration_s > 0:
-                pops = prop.apply(pops, n_dot * pulse.duration_s)
+            pops = _heat(pops, [n_dot * pulse.duration_s])[0]
             t += pulse.duration_s
             elapsed[-1] = t
 

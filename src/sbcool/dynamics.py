@@ -92,8 +92,8 @@ class HeatingChannel:
     n_dot: float
 
     def __post_init__(self) -> None:
-        if self.n_dot < 0:
-            raise ValueError("n_dot must be >= 0")
+        if not 0.0 <= self.n_dot < math.inf:
+            raise ValueError(f"n_dot must be finite and >= 0, got {self.n_dot!r}")
 
 
 @dataclass(frozen=True)

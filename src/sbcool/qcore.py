@@ -211,8 +211,8 @@ class FockDistribution:
         p = np.array(self.populations, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("populations must be a non-empty 1-D array")
-        if p.min() < -1e-12:
-            raise ValueError(f"negative population {p.min():.3e}")
+        if not p.min() >= -1e-12:
+            raise ValueError(f"population {p.min():.3e} is not >= 0")
         p = np.clip(p, 0.0, None)
         total = p.sum()
         if abs(total - 1.0) > 1e-9:

@@ -3,8 +3,9 @@
 Frozen oracles: pi-times t_n = 1/(2 f1 sqrt(n)) summed over the default
 500-pulse ladder, the off-target transfer sin^2(pi sqrt(2)/2), and exact mean
 growth n_dot * dt for the birth-death heating propagator.  The heating
-propagator is checked against expm of the dense generator, and the rate map's
-deferred heating against heating after every schedule entry.
+propagator is checked against scipy's expm of the dense generator on relative
+error, down to populations of 1e-12, and the rate map's grouped heating
+against expm after every schedule entry.
 """
 
 import re
@@ -42,7 +43,7 @@ from sbcool.cooling import (
     TOP_BIN_TOL,
     _apply_recoil,
     _apply_transfer,
-    _HeatingPropagator,
+    _heat,
 )
 
 F1 = 394.2770864367975
@@ -151,13 +152,46 @@ def test_rate_map_heating_is_lindblad_heating(p0, n_dot_t):
     assert np.max(np.abs(rho.populations() - direct.populations)) < 1e-8
 
 
-def test_heating_propagator_bounds_its_clip():
-    p = np.array([0.5 + 1e-6, -1e-6, 0.3, 0.2, 0.0])
-    with pytest.raises(IntegrationError, match="negative probability"):
-        _HeatingPropagator(4).apply(p, 1e-9)
+def test_heat_keeps_a_long_window_non_negative_with_unit_sum():
+    # L s = 601 * 50: sixty-one split series in a row
     valid = thermal_distribution(5.0, 300).populations
-    out = _HeatingPropagator(300).apply(np.array(valid), 50.0)
+    out = _heat(valid, [50.0])[0]
     assert out.min() >= 0.0 and out.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def _sparse_distributions(draw):
+    """Populations over 0..n_max <= 60 with zeros and entries down to 1e-300."""
+    n_max = draw(st.integers(0, 60))
+    p = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1e-300, 1e-30, 1e-11]) | st.floats(0.0, 1.0),
+        min_size=n_max + 1, max_size=n_max + 1)))
+    p[draw(st.integers(0, n_max))] += 1.0
+    return p / p.sum()
+
+
+@settings(max_examples=40)
+@given(p=_sparse_distributions(),
+       s=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4).map(sorted))
+def test_heat_never_returns_a_negative_entry(p, s):
+    out = _heat(p, s)
+    assert out.shape == (len(s), p.size)
+    assert out.min() >= 0.0
+    assert np.allclose(out.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(p=_top_heavy_distributions(), s=st.floats(0.0, 2.0))
+def test_heat_raises_the_mean_by_n_dot_t_while_the_top_bin_stays_empty(p, s):
+    # support on 0..20 of 0..200: the top bin keeps below 1e-20 of the mass,
+    # so no birth is lost there and d<n>/ds = 1 holds
+    padded = np.zeros(201)
+    padded[: p.size] = p
+    out = _heat(padded, [0.0, s / 2, s])
+    assert out[:, -1].max() < 1e-20
+    levels = np.arange(201)
+    assert out @ levels == pytest.approx(levels @ padded + np.array([0.0, s / 2, s]),
+                                         rel=0.0, abs=1e-12)
 
 
 def test_cooling_with_heating_reaches_steady_offset():
@@ -220,21 +254,43 @@ def _dense_heating_generator(n_max):
     return q
 
 
+def _max_relative_error(out, ref):
+    """Largest relative error over the levels whose reference exceeds 1e-12."""
+    big = ref > 1e-12
+    return np.max(np.abs(out[big] - ref[big]) / ref[big])
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 4, 50, 300])
 def test_tridiagonal_propagator_matches_expm(n_max):
-    q = _dense_heating_generator(n_max)
-    prop = _HeatingPropagator(n_max)
-    p = np.random.default_rng(n_max).random(n_max + 1)
+    # a cooled distribution (nbar 0.13) over a floor of 1e-11: the tail levels
+    # must carry relative, not absolute, accuracy
+    n = np.arange(n_max + 1)
+    x = 0.13 / 1.13
+    p = (1.0 - x) * x ** n + 1e-11
     p /= p.sum()
+    q = _dense_heating_generator(n_max)
     for n_dot_t in (1e-3, 0.1, 5.0):
-        out = prop.apply(p, n_dot_t)
-        assert np.max(np.abs(out - expm(n_dot_t * q) @ p)) < 1e-12
+        out = heat_distribution(FockDistribution(p), 1.0, n_dot_t).populations
+        ref = expm(n_dot_t * q) @ p
+        assert _max_relative_error(out, ref) < 1e-11
         assert abs(out.sum() - 1.0) < 1e-12
 
 
+def test_heat_splits_a_long_window_to_expm_accuracy():
+    # L = 81, so s = 12 is L s = 972 > 745, where exp(-L s) underflows; the
+    # series splits at s = 500 / 81 = 6.17, between the rows at 6.0 and 6.2
+    n_max = 40
+    q = _dense_heating_generator(n_max)
+    p = thermal_distribution(0.13, n_max).populations
+    s = [0.5, 6.0, 6.2, 12.0]
+    out = _heat(p, s)
+    for row, s_j in zip(out, s):
+        assert _max_relative_error(row, expm(s_j * q) @ p) < 1e-11
+
+
 def _cool_heating_every_entry(dist0, schedule, n_dot, repump, n_max):
-    """The rate map with heating propagated after every schedule entry."""
-    prop = _HeatingPropagator(n_max)
+    """The rate map with heating propagated by expm after every schedule entry."""
+    q = _dense_heating_generator(n_max)
     levels = np.arange(n_max + 1)
     p = np.zeros(n_max + 1)
     p[: dist0.n_max + 1] = dist0.populations
@@ -248,7 +304,7 @@ def _cool_heating_every_entry(dist0, schedule, n_dot, repump, n_max):
             if repump.recoil_quanta > 0:
                 p = _apply_recoil(p, pending, repump.recoil_quanta)
             pending = 0.0
-        p = prop.apply(p, n_dot * pulse.duration_s)
+        p = expm(n_dot * pulse.duration_s * q) @ p
         if pulse.kind == "red_sideband":
             k += 1
             nbars.append(levels @ p)
@@ -276,7 +332,7 @@ def _irregular_schedule():
 
 @pytest.mark.parametrize("recoil", [0.0, 0.3])
 @pytest.mark.parametrize("n_dot", [41.0, 500.0])
-def test_deferred_heating_equals_heating_after_every_entry(n_dot, recoil):
+def test_grouped_heating_equals_heating_after_every_entry(n_dot, recoil):
     repump = RepumpModel(recoil_quanta=recoil)
     dist0 = thermal_distribution(2.0, 30)
     for sched in (build_schedule(20, F1, repump), _irregular_schedule()):
@@ -312,3 +368,22 @@ def test_quantum_twin_bounds_its_clip(monkeypatch):
     sched = build_schedule(2, F1, RepumpModel())
     with pytest.raises(IntegrationError, match="negative probability"):
         simulate_cooling_quantum(thermal_distribution(0.0, 5), sched, None, n_max=5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FockDistribution(np.array([np.nan, 0.5])),
+    lambda: HeatingChannel(np.nan),
+    lambda: HeatingChannel(np.inf),
+    lambda: PulseSpec("repump", np.inf),
+    lambda: RepumpModel(pump_time_s=np.nan),
+    lambda: heat_distribution(thermal_distribution(0.13, 20), np.nan, 1e-3),
+    lambda: heat_distribution(thermal_distribution(0.13, 20), 41.0, np.nan),
+    lambda: heat_distribution(thermal_distribution(0.13, 20), 41.0, np.inf),
+    lambda: heat_distribution(thermal_distribution(0.13, 20), np.inf, 1e-3),
+    lambda: heat_distribution(thermal_distribution(0.13, 20), 1e200, 1e200),
+], ids=["population", "n_dot-nan", "n_dot-inf", "duration",
+        "pump_time", "heat-n_dot-nan", "heat-dt-nan", "heat-dt-inf", "heat-n_dot-inf",
+        "heat-overflow"])
+def test_non_finite_heating_inputs_are_rejected_by_name(make):
+    with pytest.raises(ValueError, match="nan|inf"):
+        make()
