@@ -478,12 +478,13 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = (parser.prog, *argv)
     try:
         return _DISPATCH[args.command](args)
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (IntegrationError, TruncationError, FitError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, DataFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, TruncationError, FitError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:
         # the reader closed stdout: send the rest to devnull, so the exit flush cannot raise
         with open(os.devnull, "w") as devnull:

@@ -7,20 +7,20 @@ d<N>/dt = ndot for any state.
 
 Both propagation paths start from one eigendecomposition of H, block by
 block: 2x2 blocks for the effective model, at most 4 for full_dressed, one
-with keep_carrier.  A closed system (no nonzero collapse operator) is
-propagated exactly; closed scans, flops and the spectrum fit's integrate
+with keep_carrier.  Closed scans, flops and the spectrum fit's integrate
 forward share one engine, _closed_response, which reads every initial
-|0', n> at once from |U|^2.  A heated run steps the in-package RK45
-(solve_ivp, scipy's RK45 step for step) in the interaction picture of H,
-where the right-hand side is the dissipator alone, on the entries of rho
-reachable from rho0 (_reachable); every other entry stays exactly zero.
-Heated flops and scans read P(F=1) from those kept entries, checked block by
-block (_kept_populations), and build no D x D state; evolve_lindblad builds
-and validates the full states from the same integrator output.
+|0', n> at once from |U|^2.  Every other run goes through _integrate, in the
+interaction picture of H, on the entries of rho reachable from rho0; every
+other entry stays exactly zero.  Those entries form tiles (block P) x
+(block Q) of H's blocks.  A closed system is exact there; a heated one steps
+the in-package RK45 (solve_ivp, scipy's RK45 step for step) with the
+dissipator alone as the right-hand side, applied as dense superoperator
+tiles by one batched matmul.  Heated flops and scans read P(F=1) from the
+kept entries, checked block by block (_kept_populations), and build no
+D x D state; evolve_lindblad builds and validates the full states.
 
-Only heated runs import scipy (sparse, csgraph) and, with jobs > 1,
-concurrent.futures; closed runs and fits need numpy alone, since _components
-labels H's blocks in csgraph's order.
+Every path runs on numpy alone (heated scans with jobs > 1 add
+concurrent.futures); _components labels blocks in csgraph's order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Sequence, Union
+from typing import Iterable, Literal, Sequence, Union
 
 import numpy as np
 
@@ -55,9 +55,6 @@ from .qcore import (
     tensor,
     thermal_distribution,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "HeatingChannel",
@@ -154,47 +151,6 @@ def _nonzero_ops(ops: Sequence[Operator]) -> list[np.ndarray]:
     return [op.matrix for op in ops if np.abs(op.matrix).max() > 0.0]
 
 
-def _generator(h_mat: np.ndarray, l_mats: list,
-               keep: np.ndarray | None = None) -> sp.csr_array:
-    """-i[H, .] + sum_k D[L_k] as a sparse matrix on row-major vec(rho), on
-    the flat indices keep (all by default).  Every term is built literally
-    (no rho = rho' shortcut): shortcuts of that kind make roundoff-sized
-    Hermiticity errors grow exponentially under strong dissipation."""
-    import scipy.sparse as sp
-    dim = h_mat.shape[0]
-    eye = sp.eye_array(dim, dtype=complex, format="csr")
-    h = sp.csr_array(h_mat)
-    terms = [(-1j * h, eye), (eye, 1j * h)]
-    for l_mat in l_mats:
-        l = sp.csr_array(l_mat)
-        ldl = l.conj().T @ l
-        terms += [(l, l.conj().T), (-0.5 * ldl, eye), (eye, -0.5 * ldl)]
-    return _superop(terms, np.arange(dim * dim) if keep is None else keep)
-
-
-def _superop(terms: list, keep: np.ndarray) -> sp.csr_array:
-    """sum of rho -> A rho B over terms (A, B) as a sparse matrix on the flat
-    indices keep, formed on those alone: (k, l) feeds (i, j) by A[i, k] B[l, j]."""
-    import scipy.sparse as sp
-    dim = terms[0][0].shape[0]
-    pos = np.full(dim * dim, -1)
-    pos[keep] = np.arange(keep.size)
-    k, l = np.divmod(keep, dim)
-    parts = []
-    for a, b in terms:
-        a, b = sp.csc_array(a), sp.csr_array(b)
-        nb = np.diff(b.indptr)[l]
-        count = np.diff(a.indptr)[k] * nb
-        col = np.repeat(np.arange(keep.size), count)
-        off = np.arange(col.size) - np.repeat(np.cumsum(count) - count, count)
-        ia = a.indptr[k][col] + off // nb[col]
-        jb = b.indptr[l][col] + off % nb[col]
-        # keep is closed under every term, so no row falls off it (pos -1)
-        parts.append((a.data[ia] * b.data[jb], pos[a.indices[ia] * dim + b.indices[jb]], col))
-    vals, rows, cols = map(np.concatenate, zip(*parts))
-    return sp.csr_array((vals, (rows, cols)), shape=(keep.size, keep.size))
-
-
 def _nonempty_1d(values: Sequence[float], name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
@@ -219,9 +175,9 @@ def evolve_lindblad(
 
     times must be strictly increasing and start at >= 0; evolution always
     starts from t = 0 with rho0.  A closed system (no nonzero collapse
-    operator) is propagated exactly, block by block of H; anything else is
-    integrated with RK45 on the entries reachable from rho0 in the
-    interaction picture of H, and each full state is built from those.
+    operator) is propagated exactly, tile by tile of H's blocks; anything
+    else is integrated with RK45 on the entries reachable from rho0 in the
+    interaction picture of H.  Each full state is built from those entries.
     Output states are validated (finite, Hermitian, unit trace, positive)
     with tolerances appropriate for integrator output; a state that fails
     them, or a trace drift beyond 1e-6, raises IntegrationError.  Heated
@@ -231,31 +187,26 @@ def evolve_lindblad(
     if rho0.space.dim != model.space.dim:
         raise ValueError("initial state dimension does not match model")
 
-    l_mats = _nonzero_ops(model.collapse_ops)
-    if not l_mats:
-        rhos = _propagate_closed(model.hamiltonian.matrix, rho0.matrix, t)
-    else:
-        keep, x = _integrate(model.hamiltonian.matrix, l_mats, rho0.matrix, t, cfg)
-        rhos = (_full(model.space.dim, keep, col) for col in x.T)
-    return _validated(model.space, rhos, t)
+    keep, x = _integrate(model.hamiltonian.matrix, _nonzero_ops(model.collapse_ops),
+                         rho0.matrix, t, cfg)
+    return _validated(model.space, (_full(model.space.dim, keep, col) for col in x.T), t)
 
 
-def _components(linked: np.ndarray) -> tuple[int, np.ndarray]:
-    """(count, labels) of the connected components of the undirected graph
-    with an edge wherever the boolean matrix linked is true, numbered in order
-    of their lowest node as scipy.sparse.csgraph.connected_components numbers
-    them.  Union-find whose every root is the lowest node of its set."""
-    root = list(range(linked.shape[0]))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = i = root[root[i]]  # path halving
-        return i
-
-    for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(linked | linked.T, 1)))):
-        a, b = find(i), find(j)
-        root[max(a, b)] = min(a, b)
-    lowest, labels = np.unique([find(i) for i in range(len(root))], return_inverse=True)
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, labels) of the connected components of the undirected graph on
+    n nodes with edges (i[k], j[k]), numbered in order of their lowest node as
+    scipy.sparse.csgraph.connected_components numbers them.  Every node points
+    at a lower or equal one; each round hooks every root to the lowest root
+    linked to its tree, then jumps pointers until they all point at roots, so
+    the lowest node of each component ends as its one root."""
+    root = np.arange(n)
+    while not np.array_equal(root[i], root[j]):
+        low = np.minimum(root[i], root[j])
+        np.minimum.at(root, root[i], low)
+        np.minimum.at(root, root[j], low)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    lowest, labels = np.unique(root, return_inverse=True)
     return lowest.size, labels
 
 
@@ -263,7 +214,7 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
     """The blocks of a boolean pattern, the connected components of its
     graph (H's invariant blocks for h != 0, a state's for its kept entries):
     one index array per size, whose row k is the k-th such block."""
-    _, labels = _components(pattern)
+    _, labels = _components(len(pattern), *np.nonzero(pattern))
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
@@ -271,90 +222,128 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
             for size in np.unique(sizes)]
 
 
-def _eig_blocks(h_mat: np.ndarray) -> tuple[np.ndarray, list]:
-    """H = V Lambda V' with V block-diagonal over _blocks(H): the eigenvalues,
-    and per block size its index rows with one batched eigh's eigenvectors."""
-    evals = np.empty(h_mat.shape[0])
-    blocks = []
-    for idx in _blocks(h_mat != 0):
+def _eig_blocks(h_mat: np.ndarray) -> tuple:
+    """H = V Lambda V' with V block-diagonal over _blocks(H), one batched eigh
+    per block size: the eigenvalues, each level's block (numbered in _blocks'
+    order) and place in it, and the eigenvectors padded to the largest block
+    size s (blocks x s x s, zero in the padding)."""
+    dim, groups = h_mat.shape[0], _blocks(h_mat != 0)
+    evals, block, place = np.empty(dim), np.empty(dim, dtype=int), np.empty(dim, dtype=int)
+    vecs = np.zeros((sum(map(len, groups)),) + (groups[-1].shape[1],) * 2, dtype=complex)
+    first = 0
+    for idx in groups:
+        count, size = idx.shape
         w, v = np.linalg.eigh(h_mat[idx[:, :, None], idx[:, None, :]])
-        evals[idx] = w
-        blocks.append((idx, v))
-    return evals, blocks
+        evals[idx], place[idx] = w, np.arange(size)
+        block[idx] = np.arange(first, first + count)[:, None]
+        vecs[first:first + count, :size, :size] = v
+        first += count
+    return evals, block, place, vecs
 
 
-def _propagate_closed(h_mat: np.ndarray, rho0_mat: np.ndarray,
-                      t: np.ndarray) -> Iterator[np.ndarray]:
-    """rho(t) = V (e^{-i Lambda t} . V' rho0 V . e^{i Lambda t}) V' exactly;
-    rho0 may couple blocks."""
-    evals, blocks = _eig_blocks(h_mat)
+def _dissipator_tiles(l_mats: list[np.ndarray], block: np.ndarray, place: np.ndarray,
+                      vecs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """sum_k D[V' L_k V] as terms rho -> A rho C' between s x s factor tiles:
+    every two tiles (L_k[P', P], L_k[Q', Q]) of one jump, and (-M/2, 1) and
+    (1, -M/2) for the drain M = sum_k L_k' L_k, whose tile M[P', P] sums
+    L_k[R, P']' L_k[R, P].  Which tiles exist follows from sparsity alone.
+    Returns the factors (the jumps' tiles, M's, then one identity per block),
+    the terms' factor indices (a, c), and their target and source tiles
+    (block P) x (block Q) as codes P * blocks + Q."""
+    nb, s = vecs.shape[:2]
+    stack = np.array(l_mats)
+    jumps, rows, cols = np.nonzero(stack)
+    codes, tile = np.unique((jumps * nb + block[rows]) * nb + block[cols], return_inverse=True)
+    lab = np.zeros((codes.size, s, s), dtype=complex)
+    lab[tile, place[rows], place[cols]] = stack[jumps, rows, cols]
+    jump, tgt, src = codes // (nb * nb), codes // nb % nb, codes % nb
+    lt = vecs[tgt].conj().swapaxes(1, 2) @ lab @ vecs[src]
+    fa, fc = np.nonzero(jump[:, None] == jump)
+    i, j = fa[tgt[fa] == tgt[fc]], fc[tgt[fa] == tgt[fc]]
+    codes, tile = np.unique(src[i] * nb + src[j], return_inverse=True)
+    m = np.zeros((codes.size, s, s), dtype=complex)
+    np.add.at(m, tile, lt[i].conj().swapaxes(1, 2) @ lt[j])
+    mi = lt.shape[0] + np.arange(codes.size)
+    eye, every = mi[-1] + 1 + np.arange(nb), np.arange(nb)
+    fa = np.concatenate([fa, np.repeat(mi, nb), np.tile(eye, mi.size)])
+    fc = np.concatenate([fc, np.tile(eye, mi.size), np.repeat(mi, nb)])
+    ft = np.concatenate([tgt, codes // nb, every])
+    fs = np.concatenate([src, codes % nb, every])
+    return (np.concatenate([lt, -0.5 * m, np.broadcast_to(np.eye(s), (nb, s, s))]), fa, fc,
+            ft[fa] * nb + ft[fc], fs[fa] * nb + fs[fc])
 
-    def left(mat: np.ndarray, adjoint: bool) -> np.ndarray:
-        """V' @ mat if adjoint else V @ mat, one block of rows at a time."""
-        out = np.empty_like(mat)
-        for idx, v in blocks:
-            out[idx] = (v.conj().swapaxes(1, 2) if adjoint else v) @ mat[idx]
-        return out
 
-    # M V = (V' M')', so both products are left products
-    rho_eig = left(left(rho0_mat.conj().T, True).conj().T, True)
-    for ti in t:
-        phase = np.exp(-1j * evals * ti)
-        rho_t = (phase[:, None] * rho_eig) * phase.conj()
-        yield left(left(rho_t.conj().T, False).conj().T, False)
-
-
-def _reachable(h_mat: np.ndarray, l_mats: list[np.ndarray],
-               rho0_mat: np.ndarray) -> np.ndarray:
-    """Sorted flat indices of the entries of rho reachable from rho0's, from
-    sparsity alone.  H links each rectangle (block P) x (block Q) of its
-    blocks within itself; with each block lumped into one level, the set is
-    the weak components of the generator's graph that hold rho0's entries."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-    n, labels = _components(h_mat != 0)
-    eye, terms = sp.eye_array(n), []
-    for l_mat in l_mats:
-        rows, cols = np.nonzero(l_mat)
-        l = sp.csr_array((np.ones(rows.size), (labels[rows], labels[cols])), shape=(n, n))
-        # positive weights: no two terms can cancel a link
-        terms += [(l, l.T), (l.T @ l, eye), (eye, l.T @ l)]
-    _, comp = connected_components(_superop(terms, np.arange(n * n)), directed=False)
-    rows, cols = np.nonzero(rho0_mat)
-    kept = np.isin(comp, comp[labels[rows] * n + labels[cols]])
-    return np.flatnonzero(kept[labels[:, None] * n + labels[None, :]])
+def _kron(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Tile by tile, the matrix of X -> a X c' on row-major vec(X): a (x) conj(c)."""
+    n, s = a.shape[:2]
+    return np.einsum("nab,ncd->nacbd", a, c.conj()).reshape(n, s * s, s * s)
 
 
 def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray,
                t: np.ndarray, cfg: IntegratorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """RK45 on the reachable entries in the interaction picture of H: in H's
-    eigenbasis rho_ab = phi_ab y_ab, phi_ab = e^{-i (lambda_a - lambda_b) t},
-    and dy/dt = conj(phi) (D~ (phi y)) with D~ = sum_k D[V' L_k V], the
-    dissipator alone.  V maps each reachable rectangle to itself.  D~ and V
-    act as sparse matrices on the m kept entries, or, for blocks of s levels
-    with m s^2 > D^3, as dense products on the full matrix.
+    """RK45 on the entries reachable from rho0's in the interaction picture of
+    H: in H's eigenbasis rho_ab = phi_ab y_ab, phi_ab = e^{-i (lambda_a -
+    lambda_b) t}, and dy/dt = conj(phi) (D~ (phi y)) with D~ = sum_k D[V' L_k V],
+    the dissipator alone.  H links each tile (block P) x (block Q) within
+    itself, so the reachable tiles are the components of D~'s tile graph that
+    hold rho0's, and V maps each to itself.  On tiles padded to s x s, D~ is
+    each target tile's row of s^2 x s^2 superoperator tiles, applied to its
+    source tiles by one gather and one batched matmul, and V one s^2 x s^2
+    product per tile; past D^3 padded entries (keep_carrier's one block), D~
+    and V act as dense products on the full matrix instead.  With no jump
+    (a closed system) y stays y(0), so no RK45 runs and the result is exact.
 
     Returns (keep, x): the sorted flat indices of the m reachable entries and
-    x (m x T), their lab-basis values at every time (one sparse product, or
+    x (m x T), their lab-basis values at every time (one batched product, or
     in place time by time on the dense branch); every other entry is zero."""
-    import scipy.sparse as sp
     dim = h_mat.shape[0]
-    evals, blocks = _eig_blocks(h_mat)
-    vd = np.zeros_like(h_mat)
-    for idx, vb in blocks:
-        vd[idx[:, :, None], idx[:, None, :]] = vb
-    v = sp.csr_array(vd)
-    vh = v.conj().T
-    keep = _reachable(h_mat, l_mats, rho0_mat)
+    evals, block, place, vecs = _eig_blocks(h_mat)
+    nb, s = vecs.shape[:2]
+    no_terms = (None,) + (np.zeros(0, dtype=int),) * 4  # a closed system: no jump
+    factors, fa, fc, target, source = (_dissipator_tiles(l_mats, block, place, vecs)
+                                       if l_mats else no_terms)
+    _, comp = _components(nb * nb, target, source)
+    rows, cols = np.nonzero(rho0_mat)
+    tiles = np.flatnonzero(np.isin(comp, comp[block[rows] * nb + block[cols]]))
+    slot = np.full(nb * nb, -1)
+    slot[tiles] = np.arange(tiles.size)
+    keep = np.flatnonzero(slot[block[:, None] * nb + block] >= 0)
     rate = -1j * (evals[:, None] - evals).reshape(-1)[keep]
-    ls = [vh @ sp.csr_array(l) @ v for l in l_mats]
+    rho0_kept = np.asarray(rho0_mat, dtype=complex).reshape(-1)[keep]
 
-    s = max(idx.shape[1] for idx, _ in blocks)
-    if keep.size * s * s <= dim ** 3:  # about m s^2 entries each
-        dis = _generator(sp.csr_array(h_mat.shape, dtype=complex), ls, keep).__matmul__
-        back = _superop([(v, vh)], keep).__matmul__
-    else:  # large blocks would fill both (up to m^2 entries): dense products
-        pairs = [(l.toarray(), l.conj().T.toarray()) for l in ls]
+    if tiles.size * s ** 4 <= dim ** 3:
+        r, c = np.divmod(keep, dim)
+        where = (slot[block[r] * nb + block[c]] * s + place[r]) * s + place[c]
+        entry = np.full((tiles.size, s * s), keep.size)  # padding reads the zero at m
+        entry.flat[where] = np.arange(keep.size)
+        rot = _kron(vecs[tiles // nb], vecs[tiles % nb])
+
+        def back(x: np.ndarray, mat: np.ndarray = rot) -> np.ndarray:
+            """The kept entries x (m x T) turned by the tile matrices mat."""
+            return (mat @ np.vstack([x, np.zeros((1, x.shape[1]))])[entry]).reshape(
+                -1, x.shape[1])[where]
+
+        ys = back(rho0_kept[:, None], rot.conj().swapaxes(1, 2))
+        if l_mats:  # each target tile's distinct source tiles, in columns 0..K-1 of its row
+            live = slot[target] >= 0
+            codes, term = np.unique(slot[target[live]] * nb * nb + source[live],
+                                    return_inverse=True)
+            row, src = np.divmod(codes, nb * nb)
+            col = np.arange(codes.size) - np.searchsorted(row, row)
+            sup = np.zeros((tiles.size, col.max() + 1, s * s, s * s), dtype=complex)
+            np.add.at(sup, (row[term], col[term]), _kron(factors[fa[live]], factors[fc[live]]))
+            sup = sup.transpose(0, 2, 1, 3).reshape(tiles.size, s * s, -1)
+            gather = np.full((tiles.size, col.max() + 1, s * s), keep.size)
+            gather[row, col] = entry[slot[src]]
+            gather = gather.reshape(tiles.size, -1)
+            buf = np.zeros(keep.size + 1, dtype=complex)
+
+            def dis(x: np.ndarray) -> np.ndarray:
+                buf[:-1] = x
+                return np.matmul(sup, buf[gather][..., None]).reshape(-1)[where]
+    else:  # one s^4 tile would exceed D^3 entries: dense products
+        vd = np.where(block[:, None] == block, vecs[block[:, None], place[:, None], place], 0)
+        pairs = [(l, l.conj().T) for l in (vd.conj().T @ l @ vd for l in l_mats)]
         drain = sum(-0.5 * lh @ l for l, lh in pairs)
 
         def dis(x: np.ndarray) -> np.ndarray:
@@ -367,12 +356,13 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
                 x[:, j] = (vd @ _full(dim, keep, col) @ vd.conj().T).reshape(-1)[keep]
             return x
 
+        ys = (vd.conj().T @ _full(dim, keep, rho0_kept) @ vd).reshape(-1)[keep][:, None]
+
     def rhs(ti: float, y: np.ndarray) -> np.ndarray:
         phase = np.exp(rate * ti)
         return phase.conj() * dis(phase * y)
 
-    ys = (vh @ np.asarray(rho0_mat, dtype=complex) @ v).reshape(-1)[keep][:, None]
-    if t[-1] > 0.0:
+    if l_mats and t[-1] > 0.0:
         sol = solve_ivp(rhs, (0.0, float(t[-1])), ys[:, 0], method="RK45", t_eval=t,
                         rtol=cfg.rel_tol, atol=cfg.abs_tol)
         if not sol.success:

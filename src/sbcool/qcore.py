@@ -4,8 +4,8 @@ Basis ordering is spin-major throughout: the product-space index of |s, n> is
 s * (n_max + 1) + n, i.e. matrices are built as kron(spin_part, fock_part).
 All public types are immutable after construction (frozen dataclasses holding
 read-only arrays) and therefore safe to share across worker processes.
-DensityMatrix imports scipy's LAPACK binding where it checks a state, so
-building operators loads no scipy module.
+DensityMatrix proves positivity with numpy's own LAPACK (a Cholesky
+factorisation), so no part of this module loads scipy.
 """
 
 from __future__ import annotations
@@ -165,7 +165,6 @@ class DensityMatrix:
     psd_tol: float = field(default=PSD_TOL, repr=False)
 
     def __post_init__(self) -> None:
-        from scipy.linalg import lapack
         mat = np.asarray(self.matrix, dtype=complex)  # only read: herm is stored
         _check_square(mat, self.space.dim, "density matrix")
         adj = mat.conj().T
@@ -181,15 +180,16 @@ class DensityMatrix:
         herm = (mat + adj) / 2.0
         # A Cholesky factor of herm + psd_tol I proves min eigenvalue > -psd_tol
         # to the eigensolver's own roundoff; only a failed factorisation pays
-        # for the spectrum.  herm is exactly Hermitian, so the transpose (its
-        # conjugate) of the shifted copy factors alike, in place.
+        # for the spectrum.
         shifted = herm.copy()
         shifted.flat[::len(herm) + 1] += self.psd_tol
-        if lapack.zpotrf(shifted.T, overwrite_a=True, clean=False)[1]:
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
             min_eig = float(np.linalg.eigvalsh(herm).min())
             if min_eig < -self.psd_tol:
                 raise ValueError(
-                    f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+                    f"not positive semidefinite: min eigenvalue {min_eig:.3e}") from None
         object.__setattr__(self, "matrix", _readonly(herm))
 
     def populations(self) -> np.ndarray:

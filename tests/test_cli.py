@@ -191,6 +191,20 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--no-heating", None])
+def test_exit_code_3_when_an_eigensolve_fails(tmp_path, capsys, monkeypatch, flag):
+    # np.linalg.LinAlgError subclasses ValueError, the usage-error class
+    import sbcool.dynamics as dynamics
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(dynamics.np.linalg, "eigh", fail)
+    argv = ["flop", "--sideband", "red", "--tmax", "1e-3", "--points", "5",
+            "--out", tmp_path / "flop.csv"]
+    assert run(argv + ([flag] if flag else [])) == 3
+    assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, engine", [
     ("--no-heating", "_closed_response"),
     (None, "_heated_point"),
@@ -376,10 +390,10 @@ print(json.dumps({"codes": codes, "seen": seen}))
 
 
 def test_commands_import_scipy_only_on_the_paths_that_run_it(tmp_path):
-    # Start-up is most of a short command's wall time, and scipy.integrate
-    # (with scipy.optimize, special, spatial and fft) would be most of it; a
-    # heated flop integrates with the in-package RK45, and the rate map heats
-    # by uniformization on numpy alone.
+    # Start-up is most of a short command's wall time, and importing scipy
+    # would be most of it; a heated flop integrates with the in-package RK45
+    # on numpy-only tiles, and the rate map heats by uniformization on numpy
+    # alone.  No command loads any scipy module.
     root = Path(sbcool.__file__).resolve().parents[1]
     config = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -395,3 +409,4 @@ def test_commands_import_scipy_only_on_the_paths_that_run_it(tmp_path):
     heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.spatial",
              "scipy.fft")
     assert [m for m in report["seen"]["heated"] if m.startswith(heavy)] == []
+    assert report["seen"]["heated"] == []

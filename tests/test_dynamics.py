@@ -5,6 +5,7 @@ resonant two-level pair, d<N>/dt = n_dot for the a/a-dagger pair of collapse
 operators, and the exact thermal red/blue ratio n_bar/(n_bar+1).
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from sbcool import (
     two_level_space,
 )
 from sbcool.cli import main
-from sbcool.dynamics import _closed_response, _generator, solve_ivp as rk45
+from sbcool.dynamics import _closed_response, solve_ivp as rk45
 from sbcool.qcore import distribution_density
 from sbcool.thermometry import _line_shape
 
@@ -53,6 +54,18 @@ F1 = 394.2770864  # eta * 61.2 kHz
 
 def resonant_probe(sideband="blue", model="effective") -> SidebandProbe:
     return SidebandProbe(sideband=sideband, model=model)
+
+
+def _generator(h, ls):
+    """-i[H, .] + sum_k D[L_k] as a sparse matrix on row-major vec(rho), the
+    oracle for the engine's dissipator.  Every term is built literally, as
+    A (x) B' for rho -> A rho B (no rho = rho' shortcut)."""
+    eye = sp.eye_array(h.shape[0])
+    gen = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+    for l in ls:
+        ldl = l.conj().T @ l
+        gen = gen + sp.kron(l, l.conj()) - 0.5 * (sp.kron(ldl, eye) + sp.kron(eye, ldl.T))
+    return sp.csr_array(gen)
 
 
 def closed_scan_response(probe, grid, t_probe_s, n_max):
@@ -331,21 +344,20 @@ def test_integrates_only_entries_reachable_from_rho0(
     assert sizes == [entries]
 
 
-def test_one_block_heated_run_builds_no_filled_superoperator(monkeypatch):
-    # With keep_carrier, H is one block, so a sparse D~ on the m reachable
-    # entries would hold m^2 of them (3.1e6 and 730 MB at n_max 20); such a
-    # run applies the dissipator as dense matrix products instead.
-    per_column = []
-
-    def spy(terms, keep, _real=dynamics._superop):
-        out = _real(terms, keep)
-        per_column.append(out.nnz / keep.size)
-        return out
-
-    monkeypatch.setattr(dynamics, "_superop", spy)
+def test_one_block_heated_run_builds_no_filled_superoperator():
+    # With keep_carrier, H is one block, so a superoperator on the m = 676
+    # reachable entries would hold m^2 of them (7.3 MB; 3.1e6 entries and
+    # 50 MB at n_max 20); such a run applies the dissipator as dense matrix
+    # products instead.  Measured allocation peak: 0.44 MB.
     probe = SidebandProbe(sideband="red", keep_carrier=True)
-    simulate_flop(probe, [0.0, 1e-4], 0.13, heating=HeatingChannel(41.0), n_max=12)
-    assert max(per_column) <= probe.space(12).dim
+    m = probe.space(12).dim ** 2
+    tracemalloc.start()
+    try:
+        simulate_flop(probe, [0.0, 1e-4], 0.13, heating=HeatingChannel(41.0), n_max=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * m * m / 4
 
 
 def test_restricted_flop_matches_full_generator():
@@ -439,11 +451,11 @@ def test_keep_carrier_matches_dense_eigendecomposition(model):
 
 @pytest.mark.parametrize("n_dot, called", [
     (0.0, set()),
-    (41.0, {"_generator", "solve_ivp"}),
+    (41.0, {"_dissipator_tiles", "solve_ivp"}),
 ])
 def test_closed_adaptive_runs_are_propagated_exactly(monkeypatch, n_dot, called):
     seen = set()
-    for name in ("_generator", "solve_ivp"):
+    for name in ("_dissipator_tiles", "solve_ivp"):
         def spy(*args, _name=name, _real=getattr(dynamics, name), **kwargs):
             seen.add(_name)
             return _real(*args, **kwargs)
@@ -494,7 +506,7 @@ def _shuffled_path(n):
 
 
 def _assert_csgraph_components(linked):
-    count, labels = dynamics._components(linked)
+    count, labels = dynamics._components(len(linked), *np.nonzero(linked))
     expected_count, expected = connected_components(sp.csr_array(linked), directed=False)
     assert count == expected_count
     assert np.array_equal(labels, expected)
@@ -636,27 +648,28 @@ def _closed_blue_flop(space):
     ([(0, 1), (1, 0)], "non-finite"),
 ])
 def test_non_finite_output_is_an_integration_error(monkeypatch, entries, reason):
-    def nan_states(_h_mat, rho0_mat, t):
-        for _ in t:
-            rho = np.array(rho0_mat)
-            for idx in entries:
-                rho[idx] = np.nan
-            yield rho
-    monkeypatch.setattr(dynamics, "_propagate_closed", nan_states)
+    def nan_states(_h_mat, _l_mats, rho0_mat, t, _cfg):
+        rho = np.array(rho0_mat)
+        for idx in entries:
+            rho[idx] = np.nan
+        return np.arange(rho.size), np.repeat(rho.reshape(-1, 1), t.size, axis=1)
+    monkeypatch.setattr(dynamics, "_integrate", nan_states)
     model, rho0 = _closed_blue_flop(two_level_space(4))
     with pytest.raises(IntegrationError, match=reason):
         evolve_lindblad(model, rho0, [1e-4])
 
 
 def test_asymmetric_output_is_not_hermitised_away(monkeypatch):
-    real = dynamics._propagate_closed
+    real = dynamics._integrate
 
-    def skewed(*args):
-        for rho in real(*args):
-            rho[0, 1] += 1e-9
-            rho[1, 0] -= 1e-9
-            yield rho
-    monkeypatch.setattr(dynamics, "_propagate_closed", skewed)
+    def skewed(h_mat, *args):
+        dim = h_mat.shape[0]
+        keep, x = real(h_mat, *args)
+        rho = np.stack([dynamics._full(dim, keep, col) for col in x.T], axis=-1)
+        rho[0, 1] += 1e-9
+        rho[1, 0] -= 1e-9
+        return np.arange(dim * dim), rho.reshape(dim * dim, -1)
+    monkeypatch.setattr(dynamics, "_integrate", skewed)
     model, rho0 = _closed_blue_flop(two_level_space(4))
     with pytest.raises(IntegrationError, match="not Hermitian"):
         evolve_lindblad(model, rho0, [1e-4])

@@ -8,6 +8,7 @@ than the asserted tolerance.
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import lapack
 
 from sbcool import (
     DensityMatrix,
@@ -181,6 +182,55 @@ def test_positivity_certificate_decides_as_eigvalsh(problem):
     else:
         with pytest.raises(ValueError, match="not positive semidefinite"):
             DensityMatrix(space, mat, psd_tol=psd_tol)
+
+
+def _zpotrf_decision(mat: np.ndarray, psd_tol: float) -> bool:
+    """Whether the state check accepted mat when it factored with scipy's
+    zpotrf (upper triangle of the transposed shifted copy), falling back to
+    eigvalsh exactly as DensityMatrix does."""
+    herm = (mat + mat.conj().T) / 2.0
+    shifted = herm.copy()
+    shifted.flat[::len(herm) + 1] += psd_tol
+    if not lapack.zpotrf(shifted.T, overwrite_a=True, clean=False)[1]:
+        return True
+    return np.linalg.eigvalsh(herm).min() >= -psd_tol
+
+
+@st.composite
+def _threshold_states(draw):
+    """Unit-trace Hermitian matrices, D <= 40, whose smallest eigenvalue lies
+    within 1e-11 of -psd_tol (or within 1e-14, where the two factorisations
+    can split on roundoff), with a cluster of up to D - 1 just above it."""
+    dim = draw(st.integers(2, 40))
+    psd_tol = draw(st.sampled_from([1e-7, 1e-9]))
+    offset = draw(st.sampled_from([1e-11, 1e-14])) * draw(st.floats(-1.0, 1.0))
+    n_small = draw(st.integers(1, dim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    small = offset - psd_tol + rng.uniform(0.0, 10.0 * psd_tol, n_small)
+    small[0] = offset - psd_tol
+    rest = rng.uniform(0.1, 1.0, dim - n_small)
+    rest *= (1.0 - small.sum()) / rest.sum()
+    return _rotated(np.concatenate([small, rest]), rng), psd_tol
+
+
+@settings(max_examples=300)
+@given(_threshold_states())
+def test_numpy_cholesky_decides_as_zpotrf_did(problem):
+    # DensityMatrix once factored with scipy's zpotrf and now with
+    # np.linalg.cholesky; the two may split only on states whose smallest
+    # eigenvalue is within roundoff of -psd_tol, and the eigvalsh fallback
+    # still decides, with its message, whenever the factorisation fails.
+    mat, psd_tol = problem
+    space = FockBasis(len(mat) - 1)
+    min_eig = np.linalg.eigvalsh(mat).min()
+    try:
+        DensityMatrix(space, mat, psd_tol=psd_tol)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == f"not positive semidefinite: min eigenvalue {min_eig:.3e}"
+        accepted = False
+    if accepted != _zpotrf_decision(mat, psd_tol):
+        assert abs(min_eig + psd_tol) < 1e-14
 
 
 @st.composite
