@@ -1,5 +1,5 @@
-"""Golden outputs: heated commands on demos/reference.cfg against committed
-CSVs and stdout.
+"""Golden outputs: commands on demos/reference.cfg against committed CSVs and
+stdout.
 
 Each case runs through cli.main in its own directory, with relative output
 paths so that stdout is the same wherever it runs, and must reproduce every
@@ -9,7 +9,9 @@ may move: a file not listed there must match byte for byte.  This checks
 stability, not truth; the oracles in test_dynamics stay as they are.
 
 Scans pass --shots 0, so a roundoff-sized move in P(F=1) stays
-roundoff-sized instead of flipping a binomial draw.
+roundoff-sized instead of flipping a binomial draw.  The fit cases read
+their input from the committed golden files of the generating cases, so they
+check the fitters on fixed data.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -32,7 +34,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIG = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
 
 _SCAN = ("scan", "--points", "5", "--probe-heating", "--shots", "0")
-CASES = {
+HEATED = {
     "flop_red_effective": ("flop", "--sideband", "red", "--tmax", "10e-3",
                            "--out", "flop.csv"),
     "flop_blue_full_dressed": ("flop", "--sideband", "blue", "--tmax", "2e-3",
@@ -43,6 +45,29 @@ CASES = {
        for side in ("red", "blue") for jobs in (1, 2)},
     "repro_fig3": ("repro", "fig3", "--outdir", "fig3"),
 }
+_SPECTRA = ("fit", "--mode", "spectra", str(GOLDEN / "scan_red" / "scan.csv"),
+            str(GOLDEN / "scan_blue" / "scan.csv"))
+CLOSED = {
+    "flop_red_effective_closed": ("flop", "--sideband", "red", "--tmax", "10e-3",
+                                  "--no-heating", "--out", "flop.csv"),
+    "flop_blue_full_dressed_closed": ("flop", "--sideband", "blue", "--tmax", "2e-3",
+                                      "--points", "41", "--model", "full_dressed",
+                                      "--no-heating", "--out", "flop.csv"),
+    **{f"scan_{side}": ("scan", "--sideband", side, "--shots", "0", "--out", "scan.csv")
+       for side in ("red", "blue")},
+    "scan_red_full_dressed_350": ("scan", "--sideband", "red", "--model", "full_dressed",
+                                  "--shots", "0", "--set", "sideband_rabi_hz=350",
+                                  "--out", "scan.csv"),
+    "cool": ("cool", "--out", "cool.csv", "--dist-out", "dist.csv"),
+    "heatrate": ("heatrate", "--delays", "0,5e-3,10e-3", "--out", "heatrate.csv"),
+    "fit_spectra_analytic": _SPECTRA,
+    "fit_spectra_integrate": (*_SPECTRA, "--forward", "integrate"),
+    "fit_flop": ("fit", "--mode", "flop", str(GOLDEN / "flop_red_effective" / "flop.csv")),
+    "fit_heatrate": ("fit", "--mode", "heatrate", str(GOLDEN / "heatrate" / "heatrate.csv")),
+    "repro_fig1": ("repro", "fig1", "--outdir", "fig1"),
+    "repro_fig2": ("repro", "fig2", "--outdir", "fig2"),
+}
+CASES = {**HEATED, **CLOSED}
 
 # Largest absolute difference allowed in any numeric CSV cell, per golden
 # file; every other file, stdout included, must match byte for byte.  Each
@@ -86,8 +111,7 @@ def _max_deviation(got: Path, want: Path) -> float:
                                - np.array(ref[1:], dtype=float)), initial=0.0))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_heated_outputs_match_golden(name, tmp_path):
+def _assert_matches_golden(name: str, tmp_path: Path) -> None:
     _run_case(name, tmp_path)
     want = GOLDEN / name
     assert _outputs(tmp_path) == _outputs(want)
@@ -100,8 +124,19 @@ def test_heated_outputs_match_golden(name, tmp_path):
         assert _max_deviation(got, ref) <= TOLERANCES[key], key
 
 
+@pytest.mark.parametrize("name", sorted(HEATED))
+def test_heated_outputs_match_golden(name, tmp_path):
+    _assert_matches_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_closed_outputs_match_golden(name, tmp_path):
+    _assert_matches_golden(name, tmp_path)
+
+
 if __name__ == "__main__":
-    for case in sys.argv[1:] or sorted(CASES):
+    # the fit cases read the generating cases' golden files, so they go last
+    for case in sorted(sys.argv[1:] or CASES, key=lambda c: c.startswith("fit_")):
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         _run_case(case, GOLDEN / case)
         for manifest in (GOLDEN / case).rglob("*.manifest.json"):
