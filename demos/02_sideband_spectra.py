@@ -14,7 +14,6 @@ from sbcool.runio import SCAN_HEADER, write_csv
 cfg = ExperimentConfig()
 nbar_true = 0.13
 t_probe = cfg.probe_time_s
-eta = cfg.eta_eff()
 
 # 21 points spanning 3 kHz around each sideband; the lineshape width is set
 # by the probe time (~1/t = 790 Hz), so this resolves the peak comfortably.
@@ -32,8 +31,8 @@ peak_ratio = red.p_f1.max() / blue.p_f1.max()
 print(f"peak ratio r = {peak_ratio:.4f}  (nbar/(nbar+1) = "
       f"{nbar_true / (nbar_true + 1):.4f})")
 
-fit = fit_nbar_spectra(red, blue, cfg.nu_z_hz, cfg.sideband_rabi_1_hz() / eta,
-                       cfg.dressing_rabi_hz, t_probe, eta)
+fit = fit_nbar_spectra(red, blue, cfg.nu_z_hz, cfg.sideband_rabi_1_hz(),
+                       cfg.dressing_rabi_hz, t_probe)
 print(f"fitted nbar = {fit.value:.4f} +- {fit.std_error:.1e} "
       f"({fit.n_evaluations} model evaluations)")
 

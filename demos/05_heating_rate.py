@@ -27,7 +27,6 @@ from sbcool.cli import _trimmed
 cfg = ExperimentConfig(**{**ExperimentConfig().as_dict(),
                           "n_start": 40, "doppler_nbar": 6.0})
 f1 = cfg.sideband_rabi_1_hz()
-eta = cfg.eta_eff()
 ndot_true = cfg.heating_rate_per_s
 delays = [0.0, 5e-3, 10e-3]
 
@@ -53,8 +52,8 @@ for delay in delays:
         grid = np.linspace(center - span / 2, center + span / 2, points)
         scans[sideband] = simulate_scan(probe, grid, cfg.probe_time_s, dist,
                                         cfg=cfg.integrator())
-    fit = fit_nbar_spectra(scans["red"], scans["blue"], cfg.nu_z_hz, f1 / eta,
-                           cfg.dressing_rabi_hz, cfg.probe_time_s, eta)
+    fit = fit_nbar_spectra(scans["red"], scans["blue"], cfg.nu_z_hz, f1,
+                           cfg.dressing_rabi_hz, cfg.probe_time_s)
     print(f"  delay {delay * 1e3:5.1f} ms -> fitted nbar = {fit.value:.4f}")
     nbars.append(fit.value)
     errs.append(fit.std_error)

@@ -209,13 +209,15 @@ def cmd_cool(args: argparse.Namespace) -> int:
 def _fit_pair(cfg: ExperimentConfig, red: ScanResult, blue: ScanResult,
               forward: str) -> FitResult:
     """Thermal nbar of a red/blue sideband scan pair taken with cfg's probe."""
-    eta = cfg.eta_eff()
-    return fit_nbar_spectra(red, blue, cfg.nu_z_hz, cfg.sideband_rabi_1_hz() / eta,
-                            cfg.dressing_rabi_hz, cfg.probe_time_s, eta, forward=forward)
+    return fit_nbar_spectra(red, blue, cfg.nu_z_hz, cfg.sideband_rabi_1_hz(),
+                            cfg.dressing_rabi_hz, cfg.probe_time_s, forward=forward)
 
 
 def _fit_rate(delays, nbars, errors) -> FitResult:
-    """Line through nbar(delay), weighted unless an error is zero."""
+    """Line through nbar(delay), weighted unless an error is zero (no error
+    bar); a negative error raises DataFormatError."""
+    if min(errors) < 0:
+        raise DataFormatError(f"nbar_err must be >= 0 (0 = no error bar), got {min(errors):g}")
     use_err = all(e > 0 for e in errors)
     return fit_heating_rate(delays, nbars, errors if use_err else None)
 

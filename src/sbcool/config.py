@@ -87,11 +87,8 @@ class ExperimentConfig:
         return self.eta_eff() * self.carrier_rabi_hz
 
     def probe(self, sideband: str, model: str = "effective") -> SidebandProbe:
-        return SidebandProbe(
-            trap=self.trap(), carrier_rabi_hz=self.carrier_rabi_hz,
-            dressing_rabi_hz=self.dressing_rabi_hz,
-            sideband=sideband, sideband_rabi_hz=self.sideband_rabi_hz,
-            model=model)
+        return SidebandProbe(self.sideband_rabi_1_hz(), self.nu_z_hz, self.dressing_rabi_hz,
+                             sideband, model)
 
     def repump(self) -> RepumpModel:
         return RepumpModel(self.repump_pi_time_s, self.repump_pump_time_s,

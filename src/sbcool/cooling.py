@@ -39,10 +39,10 @@ from .dynamics import (
     HeatingChannel,
     IntegratorConfig,
     LindbladModel,
+    SidebandProbe,
     evolve_lindblad,
     heating_collapse_ops,
 )
-from .ion import effective_two_level_hamiltonian, two_level_space
 from .qcore import (
     FockDistribution,
     distribution_density,
@@ -378,11 +378,9 @@ def simulate_cooling_quantum(
     red-sideband Hamiltonian; the repump is projective (spin reset to |0'>,
     motional populations kept) with heating applied over its duration.
     """
-    space = two_level_space(n_max)
-    # resonant red sideband with unit carrier scale: eta * omega = f1
-    h = effective_two_level_hamiltonian(
-        eta=1.0, omega_hz=schedule.sideband_rabi_1_hz, nu_z_hz=1.0,
-        delta_hz=-1.0, space=space, sideband="red")
+    probe = SidebandProbe(schedule.sideband_rabi_1_hz)
+    space = probe.space(n_max)
+    h = probe.hamiltonian(space, probe.resonance_hz())
     collapse = ()
     n_dot = heating.n_dot if heating is not None else 0.0
     if n_dot > 0:

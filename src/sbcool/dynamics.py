@@ -6,16 +6,16 @@ jump operators sqrt(ndot) a' and sqrt(ndot) a with equal rates, which drives
 d<N>/dt = ndot for any state.
 
 Both propagation paths start from one eigendecomposition of H, block by
-block: 2x2 blocks for the effective model, at most 4 for full_dressed, one
-with keep_carrier.  Closed scans, flops and the spectrum fit's integrate
-forward share one engine, _closed_response, which reads every initial
-|0', n> at once from |U|^2.  Every other run goes through _integrate, in the
-interaction picture of H, on the entries of rho reachable from rho0; every
-other entry stays exactly zero.  Those entries form tiles (block P) x
-(block Q) of H's blocks.  A closed system is exact there; a heated one steps
-the in-package RK45 (solve_ivp, scipy's RK45 step for step) with the
-dissipator alone as the right-hand side, applied as dense superoperator
-tiles by one batched matmul.  Heated flops and scans read P(F=1) from the
+block: 2x2 blocks for the effective model, at most 4 for full_dressed.
+Closed scans, flops and the spectrum fit's integrate forward share one
+engine, _closed_response, which reads every initial |0', n> at once from
+|U|^2.  Every other run goes through _integrate, in the interaction
+picture of H, on the entries of rho reachable from rho0; every other entry
+stays exactly zero.  Those entries form tiles (block P) x (block Q) of H's
+blocks.  A closed system is exact there; a heated one steps the in-package
+RK45 (solve_ivp, scipy's RK45 step for step) with the dissipator alone as
+the right-hand side, applied as dense superoperator tiles by one batched
+matmul.  Heated flops and scans read P(F=1) from the
 kept entries, checked block by block (_kept_populations), and build no
 D x D state; evolve_lindblad builds and validates the full states.
 
@@ -35,11 +35,9 @@ import numpy as np
 
 from .errors import IntegrationError, TruncationError
 from .ion import (
-    TrapParams,
     build_dressed_rf_hamiltonian,
     effective_two_level_hamiltonian,
     four_level_space,
-    lamb_dicke_eff,
     two_level_space,
 )
 from .qcore import (
@@ -108,8 +106,9 @@ class IntegratorConfig:
     abs_tol: float = 1e-11
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        for name in ("rel_tol", "abs_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -178,6 +177,9 @@ def evolve_lindblad(
     operator) is propagated exactly, tile by tile of H's blocks; anything
     else is integrated with RK45 on the entries reachable from rho0 in the
     interaction picture of H.  Each full state is built from those entries.
+    The dissipator is held as s^2 x s^2 superoperator tiles, so memory grows
+    as s^4 per tile, s the largest block of H; sbcool's builders give s <= 4
+    (2 effective, 4 full_dressed), and no guard checks other Hamiltonians.
     Output states are validated (finite, Hermitian, unit trace, positive)
     with tolerances appropriate for integrator output; a state that fails
     them, or a trace drift beyond 1e-6, raises IntegrationError.  Heated
@@ -289,13 +291,12 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
     hold rho0's, and V maps each to itself.  On tiles padded to s x s, D~ is
     each target tile's row of s^2 x s^2 superoperator tiles, applied to its
     source tiles by one gather and one batched matmul, and V one s^2 x s^2
-    product per tile; past D^3 padded entries (keep_carrier's one block), D~
-    and V act as dense products on the full matrix instead.  With no jump
-    (a closed system) y stays y(0), so no RK45 runs and the result is exact.
+    product per tile.  With no jump (a closed system) y stays y(0), so no
+    RK45 runs and the result is exact.
 
     Returns (keep, x): the sorted flat indices of the m reachable entries and
-    x (m x T), their lab-basis values at every time (one batched product, or
-    in place time by time on the dense branch); every other entry is zero."""
+    x (m x T), their lab-basis values at every time (one batched product);
+    every other entry is zero."""
     dim = h_mat.shape[0]
     evals, block, place, vecs = _eig_blocks(h_mat)
     nb, s = vecs.shape[:2]
@@ -311,52 +312,35 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
     rate = -1j * (evals[:, None] - evals).reshape(-1)[keep]
     rho0_kept = np.asarray(rho0_mat, dtype=complex).reshape(-1)[keep]
 
-    if tiles.size * s ** 4 <= dim ** 3:
-        r, c = np.divmod(keep, dim)
-        where = (slot[block[r] * nb + block[c]] * s + place[r]) * s + place[c]
-        entry = np.full((tiles.size, s * s), keep.size)  # padding reads the zero at m
-        entry.flat[where] = np.arange(keep.size)
-        rot = _kron(vecs[tiles // nb], vecs[tiles % nb])
+    r, c = np.divmod(keep, dim)
+    where = (slot[block[r] * nb + block[c]] * s + place[r]) * s + place[c]
+    entry = np.full((tiles.size, s * s), keep.size)  # padding reads the zero at m
+    entry.flat[where] = np.arange(keep.size)
+    rot = _kron(vecs[tiles // nb], vecs[tiles % nb])
 
-        def back(x: np.ndarray, mat: np.ndarray = rot) -> np.ndarray:
-            """The kept entries x (m x T) turned by the tile matrices mat."""
-            return (mat @ np.vstack([x, np.zeros((1, x.shape[1]))])[entry]).reshape(
-                -1, x.shape[1])[where]
+    def back(x: np.ndarray, mat: np.ndarray = rot) -> np.ndarray:
+        """The kept entries x (m x T) turned by the tile matrices mat."""
+        return (mat @ np.vstack([x, np.zeros((1, x.shape[1]))])[entry]).reshape(
+            -1, x.shape[1])[where]
 
-        ys = back(rho0_kept[:, None], rot.conj().swapaxes(1, 2))
-        if l_mats:  # each target tile's distinct source tiles, in columns 0..K-1 of its row
-            live = slot[target] >= 0
-            codes, term = np.unique(slot[target[live]] * nb * nb + source[live],
-                                    return_inverse=True)
-            row, src = np.divmod(codes, nb * nb)
-            col = np.arange(codes.size) - np.searchsorted(row, row)
-            sup = np.zeros((tiles.size, col.max() + 1, s * s, s * s), dtype=complex)
-            np.add.at(sup, (row[term], col[term]), _kron(factors[fa[live]], factors[fc[live]]))
-            sup = sup.transpose(0, 2, 1, 3).reshape(tiles.size, s * s, -1)
-            gather = np.full((tiles.size, col.max() + 1, s * s), keep.size)
-            gather[row, col] = entry[slot[src]]
-            gather = gather.reshape(tiles.size, -1)
-            buf = np.zeros(keep.size + 1, dtype=complex)
-
-            def dis(x: np.ndarray) -> np.ndarray:
-                buf[:-1] = x
-                return np.matmul(sup, buf[gather][..., None]).reshape(-1)[where]
-    else:  # one s^4 tile would exceed D^3 entries: dense products
-        vd = np.where(block[:, None] == block, vecs[block[:, None], place[:, None], place], 0)
-        pairs = [(l, l.conj().T) for l in (vd.conj().T @ l @ vd for l in l_mats)]
-        drain = sum(-0.5 * lh @ l for l, lh in pairs)
+    ys = back(rho0_kept[:, None], rot.conj().swapaxes(1, 2))
+    if l_mats:  # each target tile's distinct source tiles, in columns 0..K-1 of its row
+        live = slot[target] >= 0
+        codes, term = np.unique(slot[target[live]] * nb * nb + source[live],
+                                return_inverse=True)
+        row, src = np.divmod(codes, nb * nb)
+        col = np.arange(codes.size) - np.searchsorted(row, row)
+        sup = np.zeros((tiles.size, col.max() + 1, s * s, s * s), dtype=complex)
+        np.add.at(sup, (row[term], col[term]), _kron(factors[fa[live]], factors[fc[live]]))
+        sup = sup.transpose(0, 2, 1, 3).reshape(tiles.size, s * s, -1)
+        gather = np.full((tiles.size, col.max() + 1, s * s), keep.size)
+        gather[row, col] = entry[slot[src]]
+        gather = gather.reshape(tiles.size, -1)
+        buf = np.zeros(keep.size + 1, dtype=complex)
 
         def dis(x: np.ndarray) -> np.ndarray:
-            mat = _full(dim, keep, x)
-            out = drain @ mat + mat @ drain + sum(l @ mat @ lh for l, lh in pairs)
-            return out.reshape(-1)[keep]
-
-        def back(x: np.ndarray) -> np.ndarray:
-            for j, col in enumerate(x.T):
-                x[:, j] = (vd @ _full(dim, keep, col) @ vd.conj().T).reshape(-1)[keep]
-            return x
-
-        ys = (vd.conj().T @ _full(dim, keep, rho0_kept) @ vd).reshape(-1)[keep][:, None]
+            buf[:-1] = x
+            return np.matmul(sup, buf[gather][..., None]).reshape(-1)[where]
 
     def rhs(ti: float, y: np.ndarray) -> np.ndarray:
         phase = np.exp(rate * ti)
@@ -618,57 +602,35 @@ class ScanResult:
 class SidebandProbe:
     """Everything needed to drive one sideband of the dressed transition.
 
-    sideband_rabi_hz overrides the derived eta_eff * carrier product when set
-    (> 0); the carrier Rabi is then back-computed so that full-model runs use
-    a consistent coupling.
+    sideband_rabi_hz    n = 1 sideband Rabi frequency eta * Omega (Hz)
+    nu_z_hz             axial secular frequency (Hz)
+    dressing_rabi_hz    microwave dressing Rabi frequency (Hz; full_dressed)
     """
 
-    trap: TrapParams = TrapParams()
-    carrier_rabi_hz: float = 61.2e3
+    sideband_rabi_hz: float
+    nu_z_hz: float = 426.7e3
     dressing_rabi_hz: float = 32e3
     sideband: Literal["red", "blue"] = "red"
-    sideband_rabi_hz: float = 0.0
     model: Literal["effective", "full_dressed"] = "effective"
-    keep_carrier: bool = False
 
     def __post_init__(self) -> None:
-        if self.carrier_rabi_hz <= 0:
-            raise ValueError("carrier_rabi_hz must be > 0")
-        if self.dressing_rabi_hz < 0:
-            raise ValueError("dressing_rabi_hz must be >= 0")
+        for name in ("sideband_rabi_hz", "dressing_rabi_hz"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if not 0.0 < self.nu_z_hz < math.inf:
+            raise ValueError(f"nu_z_hz must be finite and > 0, got {self.nu_z_hz!r}")
         if self.sideband not in ("red", "blue"):
             raise ValueError("sideband must be 'red' or 'blue'")
         if self.model not in ("effective", "full_dressed"):
             raise ValueError("model must be 'effective' or 'full_dressed'")
-        if self.sideband_rabi_hz < 0:
-            raise ValueError("sideband_rabi_hz must be >= 0")
-
-    @property
-    def eta_eff(self) -> float:
-        return lamb_dicke_eff(self.trap)
-
-    @property
-    def effective_sideband_rabi_hz(self) -> float:
-        """eta * Omega product actually driven, Hz (n = 1 red sideband Rabi)."""
-        if self.sideband_rabi_hz > 0:
-            return self.sideband_rabi_hz
-        return self.eta_eff * self.carrier_rabi_hz
-
-    @property
-    def effective_carrier_rabi_hz(self) -> float:
-        if self.sideband_rabi_hz > 0:
-            return self.sideband_rabi_hz / self.eta_eff
-        return self.carrier_rabi_hz
 
     def hamiltonian(self, space: ProductSpace, detuning_hz: float) -> Operator:
         if self.model == "effective":
             return effective_two_level_hamiltonian(
-                self.eta_eff, self.effective_carrier_rabi_hz, self.trap.nu_z_hz,
-                detuning_hz, space, sideband=self.sideband,
-                keep_carrier=self.keep_carrier)
+                self.sideband_rabi_hz, self.nu_z_hz, detuning_hz, space, self.sideband)
         return build_dressed_rf_hamiltonian(
-            self.trap, self.dressing_rabi_hz, self.effective_carrier_rabi_hz, detuning_hz,
-            space, sideband=self.sideband, keep_carrier=self.keep_carrier)
+            self.dressing_rabi_hz, self.sideband_rabi_hz, self.nu_z_hz, detuning_hz, space,
+            self.sideband)
 
     def space(self, n_max: int) -> ProductSpace:
         if self.model == "effective":
@@ -676,7 +638,7 @@ class SidebandProbe:
         return four_level_space(n_max)
 
     def resonance_hz(self) -> float:
-        return -self.trap.nu_z_hz if self.sideband == "red" else self.trap.nu_z_hz
+        return -self.nu_z_hz if self.sideband == "red" else self.nu_z_hz
 
 
 InitialState = Union[float, FockDistribution]

@@ -17,18 +17,16 @@ Conventions used everywhere in this module:
 
 * All `_hz` quantities are cyclic frequencies (Hz).  Hamiltonian matrices are
   in angular units (rad/s, hbar = 1).
-* `delta_hz` is the probe detuning from the |0'> <-> |D> carrier; red and blue
-  sidebands sit at delta = -nu_z and +nu_z.
-* With `keep_carrier=False` (default) builders return the time-independent
-  sideband interaction frame: the motional phase is absorbed, only the
-  addressed sideband coupling is retained (rotating-wave approximation), and
-  the diagonal carries the detuning from that sideband.  With
-  `keep_carrier=True` the probe rotating frame is returned instead, retaining
-  nu * a'a and the off-resonant carrier term for fidelity studies.
-* The probe Rabi frequency `probe_rabi_hz` is the carrier Rabi frequency of
-  the dressed |0'> <-> |D> transition itself; the bare |0'> <-> |+1> matrix
-  element is sqrt(2) larger, so that projecting onto |D> reproduces the
-  quoted carrier and sideband couplings with no residual factors.
+* `detuning_hz` is the probe detuning from the |0'> <-> |D> carrier; red and
+  blue sidebands sit at -nu_z and +nu_z.
+* Builders return the time-independent sideband interaction frame: the
+  motional phase is absorbed, only the addressed sideband coupling is
+  retained (rotating-wave approximation), and the diagonal carries the
+  detuning from that sideband.
+* The coupling `sideband_rabi_hz` is the n = 1 sideband Rabi frequency
+  eta * Omega of the dressed |0'> <-> |D> transition; the bare
+  |0'> <-> |+1> matrix element is sqrt(2) larger, so that projecting onto
+  |D> reproduces it with no residual factors.
 """
 
 from __future__ import annotations
@@ -105,12 +103,11 @@ class TrapParams:
     gradient_t_m: float = 23.6
 
     def __post_init__(self) -> None:
-        if self.mass_amu <= 0:
-            raise ValueError("mass_amu must be > 0")
-        if self.nu_z_hz <= 0:
-            raise ValueError("nu_z_hz must be > 0")
-        if self.gradient_t_m < 0:
-            raise ValueError("gradient_t_m must be >= 0")
+        for name in ("mass_amu", "nu_z_hz"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if not 0.0 <= self.gradient_t_m < math.inf:
+            raise ValueError(f"gradient_t_m must be finite and >= 0, got {self.gradient_t_m!r}")
 
     @property
     def mass_kg(self) -> float:
@@ -174,9 +171,11 @@ def _transition_matrix(spin: SpinBasis, upper: str, lower: str) -> np.ndarray:
     return mat
 
 
-def _sideband_frame(sideband: Sideband, delta: float, nu: float,
-                    a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Detuning from the addressed sideband and its motional operator."""
+def _sideband_frame(sideband: Sideband, detuning_hz: float, nu_z_hz: float,
+                    fock: FockBasis) -> tuple[float, np.ndarray]:
+    """Angular detuning from the addressed sideband and its motional operator."""
+    delta, nu = 2.0 * math.pi * detuning_hz, 2.0 * math.pi * nu_z_hz
+    a = lowering_op(fock).matrix
     if sideband == "red":
         return delta + nu, a
     if sideband == "blue":
@@ -185,114 +184,73 @@ def _sideband_frame(sideband: Sideband, delta: float, nu: float,
 
 
 def build_dressed_rf_hamiltonian(
-    tp: TrapParams,
     dressing_rabi_hz: float,
-    probe_rabi_hz: float,
+    sideband_rabi_hz: float,
+    nu_z_hz: float,
     detuning_hz: float,
     space: ProductSpace,
     sideband: Sideband = "red",
-    keep_carrier: bool = False,
 ) -> Operator:
     """Four-level dressed model with the gradient sideband coupling.
 
     Returns a Hermitian operator (rad/s) on the spin-major product space.  Two
     resonant microwave fields of Rabi frequency dressing_rabi_hz couple |0>
     to |+1> and to |-1>.  The probe, detuned by detuning_hz from the carrier,
-    addresses |0'> <-> |+1>; probe_rabi_hz is the dressed |0'> <-> |D>
-    carrier Rabi, so the bare matrix element is sqrt(2) larger.  The
+    addresses |0'> <-> |+1>; sideband_rabi_hz is the dressed |0'> <-> |D>
+    n = 1 sideband Rabi, so the bare matrix element is sqrt(2) larger.  The
     |0'> <-> |-1> leg of the same tone is non-secular at every sideband
-    (offset by the second-order splitting) and carries no static term in
-    either frame; see module docstring.
+    (offset by the second-order splitting) and carries no static term.
 
-    keep_carrier=False: sideband interaction frame.  Static terms are the
-    detuning-from-sideband on |0'>, the dressing couplings, and the addressed
-    sideband coupling.  keep_carrier=True: probe rotating frame with
-    nu * a'a, the carrier coupling, and both motional sideband components.
+    Static terms: the detuning from the sideband on |0'>, the dressing
+    couplings, and the addressed sideband coupling.
     """
     if tuple(space.spin.labels) != SPIN_LABELS:
         raise ValueError(f"space must use spin labels {SPIN_LABELS}")
-    if dressing_rabi_hz < 0 or probe_rabi_hz < 0:
+    if dressing_rabi_hz < 0 or sideband_rabi_hz < 0:
         raise ValueError("Rabi frequencies must be >= 0")
 
     spin = space.spin
     fock = space.fock
-    nu = tp.omega_z
-    delta = 2.0 * math.pi * detuning_hz
-    omega_bare = 2.0 * math.pi * probe_rabi_hz * math.sqrt(2.0)
-    eta = lamb_dicke_eff(tp)
-
-    a = lowering_op(fock).matrix
-    adag = a.conj().T
     eye_f = np.eye(fock.dim, dtype=complex)
-    big_delta, side_f = _sideband_frame(sideband, delta, nu, a)
+    big_delta, side_f = _sideband_frame(sideband, detuning_hz, nu_z_hz, fock)
+    coupling = 2.0 * math.pi * sideband_rabi_hz * math.sqrt(2.0) / 2.0
 
     up_dress = _transition_matrix(spin, "+1", "0") + _transition_matrix(spin, "-1", "0")
     probe_up = _transition_matrix(spin, "+1", "0'")
     proj_0p = _transition_matrix(spin, "0'", "0'")
 
-    # resonant dressing, static in both frames
     dress = (2.0 * math.pi * dressing_rabi_hz / 2.0) * up_dress
     h = embed_op(space, dress + dress.conj().T, eye_f)
-
-    if keep_carrier:
-        # probe rotating frame: motion kept explicitly
-        h += embed_op(space, proj_0p, eye_f) * delta
-        h += np.kron(np.eye(spin.dim, dtype=complex), nu * (adag @ a))
-        probe_x = probe_up + probe_up.conj().T
-        h += embed_op(space, probe_x, eye_f + eta * (a + adag)) * (omega_bare / 2.0)
-        return Operator(space, h)
-
-    # sideband interaction frame
     h += embed_op(space, proj_0p, eye_f) * big_delta
-    h += embed_op(space, probe_up, side_f) * (eta * omega_bare / 2.0)
-    h += embed_op(space, probe_up.conj().T, side_f.conj().T) * (eta * omega_bare / 2.0)
+    h += embed_op(space, probe_up, side_f) * coupling
+    h += embed_op(space, probe_up.conj().T, side_f.conj().T) * coupling
     return Operator(space, h)
 
 
 def effective_two_level_hamiltonian(
-    eta: float,
-    omega_hz: float,
+    sideband_rabi_hz: float,
     nu_z_hz: float,
-    delta_hz: float,
+    detuning_hz: float,
     space: ProductSpace,
     sideband: Sideband = "red",
-    keep_carrier: bool = False,
 ) -> Operator:
-    """Reduced |0'> <-> |D> model with carrier and gradient sideband coupling.
+    """Reduced |0'> <-> |D> model with the gradient sideband coupling.
 
-    omega_hz is the |0'> <-> |D> carrier Rabi frequency (Hz); the sideband
-    coupling strength is eta * omega.  Frames follow the same convention as
-    the four-level builder: with keep_carrier=False the addressed sideband is
-    static and the diagonal carries the detuning from it; with
-    keep_carrier=True the probe frame with nu * a'a and the carrier term is
-    returned.
+    sideband_rabi_hz is the n = 1 sideband Rabi frequency eta * Omega (Hz).
+    As in the four-level builder, the addressed sideband is static and the
+    diagonal carries the detuning from it.
     """
     if tuple(space.spin.labels) != EFFECTIVE_LABELS:
         raise ValueError(f"space must use spin labels {EFFECTIVE_LABELS}")
     spin = space.spin
-    fock = space.fock
-    nu = 2.0 * math.pi * nu_z_hz
-    delta = 2.0 * math.pi * delta_hz
-    omega = 2.0 * math.pi * omega_hz
-
-    a = lowering_op(fock).matrix
-    adag = a.conj().T
-    eye_f = np.eye(fock.dim, dtype=complex)
-    big_delta, side_f = _sideband_frame(sideband, delta, nu, a)
+    eye_f = np.eye(space.fock.dim, dtype=complex)
+    big_delta, side_f = _sideband_frame(sideband, detuning_hz, nu_z_hz, space.fock)
+    coupling = 2.0 * math.pi * sideband_rabi_hz / 2.0
 
     up = _transition_matrix(spin, "D", "0'")
     proj_0p = _transition_matrix(spin, "0'", "0'")
 
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-
-    if keep_carrier:
-        h += embed_op(space, proj_0p, eye_f) * delta
-        h += np.kron(np.eye(spin.dim, dtype=complex), nu * (adag @ a))
-        h += embed_op(space, up + up.conj().T, eye_f) * (omega / 2.0)
-        h += embed_op(space, up + up.conj().T, a + adag) * (eta * omega / 2.0)
-        return Operator(space, h)
-
-    h += embed_op(space, proj_0p, eye_f) * big_delta
-    h += embed_op(space, up, side_f) * (eta * omega / 2.0)
-    h += embed_op(space, up.conj().T, side_f.conj().T) * (eta * omega / 2.0)
+    h = embed_op(space, proj_0p, eye_f) * big_delta
+    h += embed_op(space, up, side_f) * coupling
+    h += embed_op(space, up.conj().T, side_f.conj().T) * coupling
     return Operator(space, h)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import ScanResponse, SidebandProbe, _closed_response, fock_cutoff_for_dynamics
 from .errors import FitError
-from .ion import CODATA, PhysicalConstants, TrapParams
+from .ion import CODATA, PhysicalConstants
 from .qcore import FockDistribution, thermal_distribution
 
 __all__ = [
@@ -268,19 +268,19 @@ def fit_nbar_spectra(
     red,
     blue,
     nu_z_hz: float,
-    omega_hz: float,
+    eta_omega_hz: float,
     omega_dr_hz: float,
     t_probe_s: float,
-    eta_eff: float,
     model: Literal["effective", "full_dressed"] = "effective",
     forward: Literal["analytic", "integrate"] = "analytic",
 ) -> FitResult:
     """Single-parameter thermal fit to a red/blue scan pair.
 
-    Minimises the summed squared residuals of both spectra over n_bar >= 0.
-    Each spectrum is linear in the initial Fock populations, so its forward
-    model is a ScanResponse built once per fit, at the Fock cutoff of the
-    bracket grid's top; a residual evaluation is then two matrix-vector
+    Minimises the summed squared residuals of both spectra over n_bar >= 0;
+    eta_omega_hz is the probe's n = 1 sideband Rabi frequency.  Each
+    spectrum is linear in the initial Fock populations, so its forward model
+    is a ScanResponse built once per fit, at the Fock cutoff of the bracket
+    grid's top; a residual evaluation is then two matrix-vector
     products, and raises TruncationError when the thermal state leaves more
     than TOP_LEVEL_TOL in the top Fock level.  forward="analytic" builds it from
     the closed-form detuned line shape (equivalent to the effective
@@ -298,7 +298,6 @@ def fit_nbar_spectra(
     blue_p = np.asarray(blue.p_f1, dtype=float)
     if red_x.size == 0 or blue_x.size == 0:
         raise ValueError("red and blue spectra must be non-empty")
-    eta_omega = eta_eff * omega_hz
 
     # moment hint from the peak ratio when resolvable
     hint = 0.5
@@ -316,16 +315,12 @@ def fit_nbar_spectra(
         n_max = _auto_n_max(n_bar_top)
 
         def response(x: np.ndarray, sideband: str) -> ScanResponse:
-            return _analytic_response(x, t_probe, sideband, eta_omega, nu_z_hz, n_max)
+            return _analytic_response(x, t_probe, sideband, eta_omega_hz, nu_z_hz, n_max)
     else:
         n_max = fock_cutoff_for_dynamics(n_bar_top, 0.0, t_probe_s)
-        trap = TrapParams(nu_z_hz=nu_z_hz)
 
         def response(x: np.ndarray, sideband: str) -> ScanResponse:
-            # keep the driven eta*omega product identical to the analytic forward
-            probe = SidebandProbe(trap=trap, carrier_rabi_hz=omega_hz,
-                                  dressing_rabi_hz=omega_dr_hz, sideband=sideband,
-                                  sideband_rabi_hz=eta_omega, model=model)
+            probe = SidebandProbe(eta_omega_hz, nu_z_hz, omega_dr_hz, sideband, model)
             return _closed_response(probe, x, t_probe, n_max)
     return _fit_thermal([(response(red_x, "red"), red_p), (response(blue_x, "blue"), blue_p)],
                         grid, n_max)

@@ -14,9 +14,7 @@ from sbcool.runio import FLOP_HEADER, SCAN_HEADER, read_csv
 
 CFG = sb.ExperimentConfig()
 NU = CFG.nu_z_hz
-ETA = CFG.eta_eff()
 F1 = CFG.sideband_rabi_1_hz()
-OMEGA_EFF = F1 / ETA
 T_PROBE = CFG.probe_time_s
 
 
@@ -73,12 +71,11 @@ def test_criterion_04_sideband_ratio_thermometry():
     blue = sb.simulate_scan(CFG.probe("blue"), grid_b, T_PROBE, 0.13,
                             cfg=CFG.integrator())
 
-    noiseless = sb.fit_nbar_spectra(red, blue, NU, OMEGA_EFF,
-                                    CFG.dressing_rabi_hz, T_PROBE, ETA,
+    noiseless = sb.fit_nbar_spectra(red, blue, NU, F1, CFG.dressing_rabi_hz, T_PROBE,
                                     forward="integrate")
     assert noiseless.value == pytest.approx(0.130, abs=0.005)
-    analytic = sb.fit_nbar_spectra(red, blue, NU, OMEGA_EFF, CFG.dressing_rabi_hz,
-                                   T_PROBE, ETA, forward="analytic")
+    analytic = sb.fit_nbar_spectra(red, blue, NU, F1, CFG.dressing_rabi_hz,
+                                   T_PROBE, forward="analytic")
     assert abs(noiseless.value - analytic.value) < 1e-6
 
     rng = np.random.default_rng(CFG.seed)
@@ -88,8 +85,7 @@ def test_criterion_04_sideband_ratio_thermometry():
         pb = rng.binomial(100, np.clip(blue.p_f1, 0.0, 1.0)) / 100.0
         trial = sb.fit_nbar_spectra(sb.ScanResult(grid_r, pr),
                                     sb.ScanResult(grid_b, pb),
-                                    NU, OMEGA_EFF, CFG.dressing_rabi_hz,
-                                    T_PROBE, ETA)
+                                    NU, F1, CFG.dressing_rabi_hz, T_PROBE)
         if abs(trial.value - 0.13) <= 0.04:
             hits += 1
     elapsed = time.perf_counter() - t0
@@ -152,7 +148,7 @@ def test_criterion_07_heating_rate_closed_loop(tmp_path, capsys):
 
 def test_criterion_08_vacuum_heating_property():
     space = sb.two_level_space(30)
-    h = sb.effective_two_level_hamiltonian(ETA, 0.0, NU, -NU, space)
+    h = sb.effective_two_level_hamiltonian(0.0, NU, -NU, space)
     ops = tuple(sb.heating_collapse_ops(sb.HeatingChannel(41.0), space))
     state = sb.evolve_lindblad(sb.LindbladModel(h, ops),
                                sb.thermal_density(0.0, space), [10e-3],

@@ -122,7 +122,7 @@ def test_heating_propagator_matches_lindblad():
                         evolve_lindblad, heating_collapse_ops, thermal_density,
                         two_level_space, motional_populations)
     space = two_level_space(50)
-    h = effective_two_level_hamiltonian(0.00644, 0.0, 426.7e3, -426.7e3, space)
+    h = effective_two_level_hamiltonian(0.0, 426.7e3, -426.7e3, space)
     ops = tuple(heating_collapse_ops(HeatingChannel(120.0), space))
     rho = evolve_lindblad(LindbladModel(h, ops), thermal_density(0.3, space),
                           [5e-3], IntegratorConfig())[-1]

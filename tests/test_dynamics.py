@@ -5,7 +5,6 @@ resonant two-level pair, d<N>/dt = n_dot for the a/a-dagger pair of collapse
 operators, and the exact thermal red/blue ratio n_bar/(n_bar+1).
 """
 
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +27,13 @@ from sbcool import (
     Operator,
     ScanResult,
     SidebandProbe,
+    TrapParams,
     TruncationError,
     effective_two_level_hamiltonian,
     evolve_lindblad,
     evolve_unitary,
     heating_collapse_ops,
+    load_config,
     mean_phonon,
     motional_populations,
     sideband_probability,
@@ -48,12 +49,11 @@ from sbcool.dynamics import _closed_response, solve_ivp as rk45
 from sbcool.qcore import distribution_density
 from sbcool.thermometry import _line_shape
 
-ETA = 6.442436053e-03
 F1 = 394.2770864  # eta * 61.2 kHz
 
 
 def resonant_probe(sideband="blue", model="effective") -> SidebandProbe:
-    return SidebandProbe(sideband=sideband, model=model)
+    return SidebandProbe(F1, sideband=sideband, model=model)
 
 
 def _generator(h, ls):
@@ -75,7 +75,7 @@ def closed_scan_response(probe, grid, t_probe_s, n_max):
 
 def test_unitary_matches_lindblad_without_collapse():
     space = two_level_space(6)
-    h = effective_two_level_hamiltonian(ETA, 61.2e3, 426.7e3, 426.7e3, space,
+    h = effective_two_level_hamiltonian(F1, 426.7e3, 426.7e3, space,
                                         sideband="blue")
     rho0 = thermal_density(0.0, space)
     times = np.linspace(1e-4, 2e-3, 7)
@@ -99,7 +99,7 @@ def test_vacuum_red_flop_is_dark():
 
 def test_heating_rate_exact_on_vacuum_and_thermal():
     space = two_level_space(40)
-    h = effective_two_level_hamiltonian(ETA, 0.0, 426.7e3, -426.7e3, space)
+    h = effective_two_level_hamiltonian(0.0, 426.7e3, -426.7e3, space)
     ops = tuple(heating_collapse_ops(HeatingChannel(41.0), space))
     model = LindbladModel(h, ops)
     for nbar0 in (0.0, 0.5):
@@ -184,11 +184,12 @@ def _forward_readout(probe, delta_hz, times, rho0):
 
 @pytest.mark.parametrize("model", ["effective", "full_dressed"])
 @pytest.mark.parametrize("sideband", ["red", "blue"])
-@pytest.mark.parametrize("keep_carrier", [False, True])
-def test_scan_response_matches_forward_solves(model, sideband, keep_carrier):
+@pytest.mark.parametrize("pinned", [False, True])
+def test_scan_response_matches_forward_solves(model, sideband, pinned):
     # every column |0', n> against its own forward solve, which runs the
-    # independent density-matrix propagation of evolve_lindblad
-    probe = SidebandProbe(sideband=sideband, model=model, keep_carrier=keep_carrier)
+    # independent density-matrix propagation of evolve_lindblad; pinned runs
+    # repro fig3's 350 Hz coupling in place of the derived one
+    probe = SidebandProbe(350.0 if pinned else F1, sideband=sideband, model=model)
     grid = probe.resonance_hz() + np.array([-1500.0, 0.0, 700.0])
     n_max = 6
     response = closed_scan_response(probe, grid, 1.27e-3, n_max)
@@ -207,8 +208,8 @@ def test_scan_response_matches_line_shape(sideband):
     grid = probe.resonance_hz() + np.linspace(-3000.0, 3000.0, 13)
     n_max = 10
     response = closed_scan_response(probe, grid, 1.27e-3, n_max)
-    line = _line_shape(grid, np.array([1.27e-3]), sideband, probe.effective_sideband_rabi_hz,
-                       probe.trap.nu_z_hz, n_max)
+    line = _line_shape(grid, np.array([1.27e-3]), sideband, probe.sideband_rabi_hz,
+                       probe.nu_z_hz, n_max)
     # the blue n_max column has no |D, n_max + 1> to transfer to
     cols = n_max if sideband == "blue" else n_max + 1
     assert np.max(np.abs(response.f1[:, :cols] - line[:, :cols])) < 1e-12
@@ -227,7 +228,7 @@ def test_closed_flop_matches_lindblad_time_series(model):
 
 @st.composite
 def _scan_readouts(draw):
-    probe = SidebandProbe(sideband=draw(st.sampled_from(["red", "blue"])),
+    probe = SidebandProbe(F1, sideband=draw(st.sampled_from(["red", "blue"])),
                           model=draw(st.sampled_from(["effective", "full_dressed"])))
     offsets = draw(st.lists(st.floats(-3000.0, 3000.0), min_size=1, max_size=4, unique=True))
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)
@@ -321,16 +322,13 @@ class _Integrated(Exception):
     pass
 
 
-@pytest.mark.parametrize("model, n_max, keep_carrier, entries", [
-    ("effective", 25, False, 102),
-    ("full_dressed", 10, False, 170),
-    ("effective", 12, True, 26 ** 2),
-    ("full_dressed", 4, True, 20 ** 2),
+@pytest.mark.parametrize("model, n_max, entries", [
+    ("effective", 25, 102),
+    ("full_dressed", 10, 170),
 ])
-def test_integrates_only_entries_reachable_from_rho0(
-        monkeypatch, model, n_max, keep_carrier, entries):
+def test_integrates_only_entries_reachable_from_rho0(monkeypatch, model, n_max, entries):
     # A diagonal rho0 stays in the block of equal excitation number on both
-    # sides; with the carrier kept that number is not conserved.
+    # sides.
     sizes = []
 
     def spy(fun, t_span, y0, **kwargs):
@@ -338,26 +336,10 @@ def test_integrates_only_entries_reachable_from_rho0(
         raise _Integrated
 
     monkeypatch.setattr(dynamics, "solve_ivp", spy)
-    probe = SidebandProbe(sideband="red", model=model, keep_carrier=keep_carrier)
+    probe = SidebandProbe(F1, sideband="red", model=model)
     with pytest.raises(_Integrated):
         simulate_flop(probe, [0.0, 1e-3], 0.13, heating=HeatingChannel(41.0), n_max=n_max)
     assert sizes == [entries]
-
-
-def test_one_block_heated_run_builds_no_filled_superoperator():
-    # With keep_carrier, H is one block, so a superoperator on the m = 676
-    # reachable entries would hold m^2 of them (7.3 MB; 3.1e6 entries and
-    # 50 MB at n_max 20); such a run applies the dissipator as dense matrix
-    # products instead.  Measured allocation peak: 0.44 MB.
-    probe = SidebandProbe(sideband="red", keep_carrier=True)
-    m = probe.space(12).dim ** 2
-    tracemalloc.start()
-    try:
-        simulate_flop(probe, [0.0, 1e-4], 0.13, heating=HeatingChannel(41.0), n_max=12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * m * m / 4
 
 
 def test_restricted_flop_matches_full_generator():
@@ -388,19 +370,17 @@ def _restricted_exponential(model, rho0, times):
     return keep, [expm(sub * ti) @ y0[keep] for ti in times]
 
 
-@pytest.mark.parametrize("model, sideband, n_dot, keep_carrier", [
+@pytest.mark.parametrize("model, sideband, n_dot, pinned", [
     *[(m, s, r, False) for m in ("effective", "full_dressed") for s in ("red", "blue")
       for r in (41.0, 300.0)],
     ("effective", "red", 300.0, True),
 ])
-def test_heated_run_is_the_restricted_generator_exponential(
-        model, sideband, n_dot, keep_carrier):
+def test_heated_run_is_the_restricted_generator_exponential(model, sideband, n_dot, pinned):
     # Measured at the default tolerances: at most 4.0e-9 from the exponential
-    # (effective), 7.3e-10 (full_dressed) and 3.3e-10 (keep_carrier); RK45 on
-    # the lab-frame generator reached 2.5e-8 and 4.0e-7 on the last two.
-    probe = SidebandProbe(sideband=sideband, model=model, keep_carrier=keep_carrier)
-    n_max, t_max = (4, 1e-3) if keep_carrier else {"effective": (25, 10e-3),
-                                                    "full_dressed": (12, 2e-3)}[model]
+    # (effective) and 7.3e-10 (full_dressed); RK45 on the lab-frame generator
+    # reached 2.5e-8 on the latter.  pinned runs repro fig3's 350 Hz coupling.
+    probe = SidebandProbe(350.0 if pinned else F1, sideband=sideband, model=model)
+    n_max, t_max = {"effective": (25, 10e-3), "full_dressed": (12, 2e-3)}[model]
     space = probe.space(n_max)
     lindblad = LindbladModel(probe.hamiltonian(space, probe.resonance_hz()),
                              tuple(heating_collapse_ops(HeatingChannel(n_dot), space)))
@@ -437,18 +417,6 @@ def test_closed_evolution_matches_full_generator(model, sideband, offset_hz):
         assert np.max(np.abs(state.matrix - y.reshape(space.dim, space.dim))) < 1e-7
 
 
-@pytest.mark.parametrize("model", ["effective", "full_dressed"])
-def test_keep_carrier_matches_dense_eigendecomposition(model):
-    probe = SidebandProbe(sideband="red", model=model, keep_carrier=True)
-    space = probe.space(8)
-    h = probe.hamiltonian(space, probe.resonance_hz())
-    rho0 = thermal_density(0.5, space)
-    times = np.linspace(0.0, 1.27e-3, 5)
-    exact = evolve_lindblad(LindbladModel(h), rho0, times)
-    for a, b in zip(exact, evolve_unitary(h, rho0, times)):
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10
-
-
 @pytest.mark.parametrize("n_dot, called", [
     (0.0, set()),
     (41.0, {"_dissipator_tiles", "solve_ivp"}),
@@ -461,7 +429,7 @@ def test_closed_adaptive_runs_are_propagated_exactly(monkeypatch, n_dot, called)
             return _real(*args, **kwargs)
         monkeypatch.setattr(dynamics, name, spy)
     space = two_level_space(8)
-    h = effective_two_level_hamiltonian(ETA, 61.2e3, 426.7e3, 426.7e3, space,
+    h = effective_two_level_hamiltonian(F1, 426.7e3, 426.7e3, space,
                                         sideband="blue")
     # rate 0 still passes two (zero) collapse operators
     model = LindbladModel(h, tuple(heating_collapse_ops(HeatingChannel(n_dot), space)))
@@ -523,11 +491,22 @@ def test_components_match_csgraph(linked):
 
 @pytest.mark.parametrize("model", ["effective", "full_dressed"])
 @pytest.mark.parametrize("sideband", ["red", "blue"])
-@pytest.mark.parametrize("keep_carrier", [False, True])
-def test_components_match_csgraph_on_probe_hamiltonians(model, sideband, keep_carrier):
-    probe = SidebandProbe(sideband=sideband, model=model, keep_carrier=keep_carrier)
-    h = probe.hamiltonian(probe.space(20), probe.resonance_hz())
-    _assert_csgraph_components(h.matrix != 0)
+@pytest.mark.parametrize("heated", [False, True])
+def test_components_match_csgraph_on_probe_hamiltonians(model, sideband, heated):
+    # H's own pattern, or (heated) the tile graph of its dissipator that
+    # _integrate labels to find the reachable tiles
+    probe = SidebandProbe(F1, sideband=sideband, model=model)
+    space = probe.space(20)
+    h = probe.hamiltonian(space, probe.resonance_hz()).matrix
+    if not heated:
+        _assert_csgraph_components(h != 0)
+        return
+    _, block, place, vecs = dynamics._eig_blocks(h)
+    l_mats = [op.matrix for op in heating_collapse_ops(HeatingChannel(41.0), space)]
+    target, source = dynamics._dissipator_tiles(l_mats, block, place, vecs)[3:]
+    linked = np.zeros((vecs.shape[0] ** 2,) * 2, dtype=bool)
+    linked[target, source] = linked[source, target] = True
+    _assert_csgraph_components(linked)
 
 
 @st.composite
@@ -638,7 +617,7 @@ def test_heated_run_keeps_trace_positivity_and_heating_rate(problem):
 
 
 def _closed_blue_flop(space):
-    h = effective_two_level_hamiltonian(ETA, 61.2e3, 426.7e3, 426.7e3, space,
+    h = effective_two_level_hamiltonian(F1, 426.7e3, 426.7e3, space,
                                         sideband="blue")
     return LindbladModel(h), thermal_density(0.13, space)
 
@@ -684,7 +663,7 @@ def test_scan_result_leaves_caller_arrays_writable():
 
 def test_empty_times_are_rejected_before_the_cutoff_policy():
     with pytest.raises(ValueError, match="times must be a non-empty 1-D sequence"):
-        simulate_flop(SidebandProbe(), [], 0.1)
+        simulate_flop(resonant_probe(), [], 0.1)
 
 
 def test_heating_collapse_ops_scaling():
@@ -709,15 +688,30 @@ def test_result_containers_validate():
 
 
 def test_probe_resonance_and_rabi_properties():
-    p = SidebandProbe(sideband="red")
-    assert p.resonance_hz() == pytest.approx(-426.7e3)
-    assert p.eta_eff == pytest.approx(ETA, rel=1e-6)
-    assert p.effective_sideband_rabi_hz == pytest.approx(F1, rel=1e-6)
-    q = SidebandProbe(sideband="blue", sideband_rabi_hz=350.0)
-    assert q.resonance_hz() == pytest.approx(426.7e3)
-    assert q.effective_sideband_rabi_hz == pytest.approx(350.0)
-    # override rescales the carrier consistently
-    assert q.effective_carrier_rabi_hz * q.eta_eff == pytest.approx(350.0, rel=1e-9)
+    assert SidebandProbe(F1, sideband="red").resonance_hz() == -426.7e3
+    assert SidebandProbe(F1, nu_z_hz=300e3, sideband="blue").resonance_hz() == 300e3
+    # the config derives eta * carrier unless sideband_rabi_hz pins it
+    assert load_config().probe("red").sideband_rabi_hz == pytest.approx(F1, rel=1e-9)
+    pinned = load_config(overrides={"sideband_rabi_hz": "350"}).probe("blue", "full_dressed")
+    assert (pinned.sideband_rabi_hz, pinned.model) == (350.0, "full_dressed")
+
+
+@pytest.mark.parametrize("make, name, value", [
+    pytest.param(make, name, value, id=f"{make.__name__}-{name}")
+    for make, name, value in [
+        (SidebandProbe, "sideband_rabi_hz", np.nan),
+        (SidebandProbe, "nu_z_hz", np.nan),
+        (SidebandProbe, "dressing_rabi_hz", np.inf),
+        (TrapParams, "nu_z_hz", np.nan),
+        (TrapParams, "mass_amu", np.nan),
+        (TrapParams, "gradient_t_m", np.inf),
+        (IntegratorConfig, "rel_tol", np.nan),
+        (IntegratorConfig, "abs_tol", np.inf),
+    ]])
+def test_non_finite_parameters_are_rejected_by_name(make, name, value):
+    base = {"sideband_rabi_hz": F1} if make is SidebandProbe else {}
+    with pytest.raises(ValueError, match=f"{name} must be finite .* got {value}"):
+        make(**{**base, name: value})
 
 
 def _assert_scipy_steps(ours, ref):

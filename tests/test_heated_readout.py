@@ -170,7 +170,7 @@ def test_block_check_accepts_only_what_validated_accepts(problem):
         # through the heated readout, with the integrator stubbed by this output
         mp.setattr(dynamics, "_integrate", lambda *_args: (keep, x))
         rho0 = distribution_density(thermal_distribution(NBAR, space.fock.n_max), space, "0'")
-        probe = dynamics.SidebandProbe()
+        probe = _probe("red")
         task = (probe, probe.resonance_hz(), t, rho0,
                 tuple(heating_collapse_ops(HEATING, space)), IntegratorConfig())
         with pytest.raises(IntegrationError) as err:

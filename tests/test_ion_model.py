@@ -72,62 +72,47 @@ def test_sideband_rabi_ladder():
 
 
 def _fields(detuning_hz=0.0):
-    """Dressing Rabi, probe carrier Rabi and probe detuning (Hz)."""
-    return 32e3, 61.2e3, detuning_hz
+    """Dressing Rabi, n = 1 sideband Rabi (eta times the 61.2 kHz carrier),
+    trap frequency and probe detuning (Hz)."""
+    return 32e3, ETA_FROZEN * 61.2e3, 426.7e3, detuning_hz
 
 
 def test_four_level_hamiltonian_hermitian_and_coupling():
     space = four_level_space(4)
-    h = build_dressed_rf_hamiltonian(default_trap(), *_fields(), space, sideband="red")
+    h = build_dressed_rf_hamiltonian(*_fields(), space, sideband="red")
     assert h.is_hermitian(tol=1e-9)
     m = h.matrix
     i_up = space.index("+1", 0)
     i_lo = space.index("0'", 1)
-    # quoted probe Rabi is the dressed carrier value; bare element is
-    # sqrt(2) larger, sideband element carries eta sqrt(n)
+    # quoted probe Rabi is the dressed sideband value; bare element is
+    # sqrt(2) larger, and the n -> n - 1 element carries sqrt(n)
     assert abs(m[i_up, i_lo]) == pytest.approx(1751.72694, rel=1e-6)
     i_up2 = space.index("+1", 1)
     i_lo2 = space.index("0'", 2)
     assert abs(m[i_up2, i_lo2]) == pytest.approx(1751.72694 * math.sqrt(2), rel=1e-6)
     # dressing block eigenvalues: 0 (twice incl. 0') and +-Omega_dr/sqrt(2)
     dress_block = build_dressed_rf_hamiltonian(
-        default_trap(), 32e3, 0.0, -426.7e3, four_level_space(1), sideband="red")
+        32e3, 0.0, 426.7e3, -426.7e3, four_level_space(1), sideband="red")
     eigs = np.linalg.eigvalsh(dress_block.matrix)
     assert eigs.max() == pytest.approx(142172.254, rel=1e-6)
     assert eigs.min() == pytest.approx(-142172.254, rel=1e-6)
 
 
-def test_keep_carrier_frame_contains_trap_term():
-    space = four_level_space(3)
-    h = build_dressed_rf_hamiltonian(default_trap(), *_fields(), space, keep_carrier=True)
-    assert h.is_hermitian(tol=1e-9)
-    m = h.matrix
-    # motional ladder on a spectator spin level
-    i2 = space.index("-1", 2)
-    i1 = space.index("-1", 1)
-    nu = 2 * math.pi * 426.7e3
-    assert m[i2, i2].real - m[i1, i1].real == pytest.approx(nu, rel=1e-12)
-    # bare carrier coupling Omega sqrt(2)/2
-    assert abs(m[space.index("+1", 0), space.index("0'", 0)]) == pytest.approx(
-        271904.4358, rel=1e-6)
-    # the sideband is checked in both frames, so keep_carrier does not skip it
+def test_builders_reject_an_unknown_sideband():
     with pytest.raises(ValueError, match="sideband"):
-        build_dressed_rf_hamiltonian(default_trap(), *_fields(), space,
-                                     sideband="green", keep_carrier=True)
+        build_dressed_rf_hamiltonian(*_fields(), four_level_space(3), sideband="green")
     with pytest.raises(ValueError, match="sideband"):
-        effective_two_level_hamiltonian(ETA_FROZEN, 61.2e3, 426.7e3, 0.0, two_level_space(3),
-                                        sideband="green", keep_carrier=True)
+        effective_two_level_hamiltonian(*_fields()[1:], two_level_space(3), sideband="green")
 
 
 def test_effective_hamiltonian_detuning_sign():
     space = two_level_space(3)
     # on resonance: delta = -nu for red leaves no static 0' energy
-    h_res = effective_two_level_hamiltonian(ETA_FROZEN, 61.2e3, 426.7e3,
-                                            -426.7e3, space, sideband="red")
+    h_res = effective_two_level_hamiltonian(*_fields(-426.7e3)[1:], space, sideband="red")
     i = space.index("0'", 1)
     assert h_res.matrix[i, i] == pytest.approx(0.0, abs=1e-6)
-    h_off = effective_two_level_hamiltonian(ETA_FROZEN, 61.2e3, 426.7e3,
-                                            -426.7e3 + 100.0, space, sideband="red")
+    h_off = effective_two_level_hamiltonian(*_fields(-426.7e3 + 100.0)[1:], space,
+                                            sideband="red")
     assert h_off.matrix[i, i].real == pytest.approx(2 * math.pi * 100.0, rel=1e-9)
 
 
@@ -143,6 +128,6 @@ def test_trap_params_validation():
 def test_dressed_builder_rejects_negative_rabi():
     space = four_level_space(2)
     with pytest.raises(ValueError, match="Rabi"):
-        build_dressed_rf_hamiltonian(default_trap(), -32e3, 61.2e3, 0.0, space)
+        build_dressed_rf_hamiltonian(-32e3, 394.3, 426.7e3, 0.0, space)
     with pytest.raises(ValueError, match="Rabi"):
-        build_dressed_rf_hamiltonian(default_trap(), 32e3, -1e3, 0.0, space)
+        build_dressed_rf_hamiltonian(32e3, -1e3, 426.7e3, 0.0, space)

@@ -31,8 +31,6 @@ from sbcool.thermometry import _auto_n_max
 
 F1 = 394.2770864367975
 NU = 426.7e3
-ETA = 6.442436053e-03
-OMEGA_EFF = F1 / ETA
 T_PROBE = 1.27e-3
 
 
@@ -87,7 +85,7 @@ def _analytic_scan_pair(nbar: float, points: int = 41, span: float = 4000.0):
 def test_fit_nbar_spectra_round_trips():
     for nbar in (0.05, 0.13, 2.0):
         red, blue = _analytic_scan_pair(nbar)
-        fit = fit_nbar_spectra(red, blue, NU, OMEGA_EFF, 32e3, T_PROBE, ETA)
+        fit = fit_nbar_spectra(red, blue, NU, F1, 32e3, T_PROBE)
         assert fit.value == pytest.approx(nbar, abs=2e-4)
         assert fit.n_evaluations > 0
         assert fit.std_error >= 0.0
@@ -95,16 +93,16 @@ def test_fit_nbar_spectra_round_trips():
     red, blue = _analytic_scan_pair(0.13)
     for forward, value, std_error in [("analytic", 0.1300000327340849, 3.6371207134666614e-09),
                                       ("integrate", 0.1300000327340849, 3.6371207023866967e-09)]:
-        fit = fit_nbar_spectra(red, blue, NU, OMEGA_EFF, 32e3, T_PROBE, ETA, forward=forward)
+        fit = fit_nbar_spectra(red, blue, NU, F1, 32e3, T_PROBE, forward=forward)
         assert fit.value == pytest.approx(value, rel=1e-12)
         assert fit.std_error == pytest.approx(std_error, rel=1e-12)
         assert fit.n_evaluations == 55
         for t_probe in (0.0, np.nan):
             with pytest.raises(ValueError, match="t_probe_s must be > 0"):
-                fit_nbar_spectra(red, blue, NU, OMEGA_EFF, 32e3, t_probe, ETA, forward=forward)
+                fit_nbar_spectra(red, blue, NU, F1, 32e3, t_probe, forward=forward)
         empty = SimpleNamespace(x=np.array([]), p_f1=np.array([]))
         with pytest.raises(ValueError, match="non-empty"):
-            fit_nbar_spectra(empty, empty, NU, OMEGA_EFF, 32e3, T_PROBE, ETA, forward=forward)
+            fit_nbar_spectra(empty, empty, NU, F1, 32e3, T_PROBE, forward=forward)
 
 
 def test_fit_nbar_spectra_full_dressed_forward():
@@ -115,9 +113,7 @@ def test_fit_nbar_spectra_full_dressed_forward():
         probe = cfg.probe(sideband, model="full_dressed")
         grid = probe.resonance_hz() + np.linspace(-2000.0, 2000.0, 21)
         scans.append(simulate_scan(probe, grid, cfg.probe_time_s, 0.13))
-    eta = cfg.eta_eff()
-    args = (cfg.nu_z_hz, cfg.sideband_rabi_1_hz() / eta, cfg.dressing_rabi_hz,
-            cfg.probe_time_s, eta)
+    args = (cfg.nu_z_hz, cfg.sideband_rabi_1_hz(), cfg.dressing_rabi_hz, cfg.probe_time_s)
     full = fit_nbar_spectra(*scans, *args, model="full_dressed")
     effective = fit_nbar_spectra(*scans, *args)
     assert full.value == pytest.approx(0.13, abs=1e-6)
@@ -127,7 +123,7 @@ def test_fit_nbar_spectra_full_dressed_forward():
 
 def test_fit_nbar_spectra_vacuum_boundary():
     red, blue = _analytic_scan_pair(0.0)
-    fit = fit_nbar_spectra(red, blue, NU, OMEGA_EFF, 32e3, T_PROBE, ETA)
+    fit = fit_nbar_spectra(red, blue, NU, F1, 32e3, T_PROBE)
     assert fit.value == pytest.approx(0.0, abs=1e-4)
     assert np.isfinite(fit.std_error)
 
@@ -167,7 +163,7 @@ def test_fit_nbar_spectra_rejects_a_flat_residual(monkeypatch):
     monkeypatch.setattr("sbcool.thermometry._analytic_response", flat)
     red, blue = _analytic_scan_pair(0.13)
     with pytest.raises(FitError, match="do not constrain n_bar"):
-        fit_nbar_spectra(red, blue, NU, OMEGA_EFF, 32e3, T_PROBE, ETA)
+        fit_nbar_spectra(red, blue, NU, F1, 32e3, T_PROBE)
 
 
 def test_fit_heating_rate_exact_on_collinear_points():
@@ -219,8 +215,7 @@ def test_fit_reports_nonzero_error_on_noisy_data():
         rng.binomial(100, red.p_f1) / 100.0, 0.0, 1.0))
     noisy_blue = ScanResult(blue.x, np.clip(
         rng.binomial(100, blue.p_f1) / 100.0, 0.0, 1.0))
-    fit = fit_nbar_spectra(noisy_red, noisy_blue, NU, OMEGA_EFF, 32e3,
-                           T_PROBE, ETA)
+    fit = fit_nbar_spectra(noisy_red, noisy_blue, NU, F1, 32e3, T_PROBE)
     assert fit.std_error > 1e-4
     assert abs(fit.value - 0.13) < 0.06
 
