@@ -22,10 +22,8 @@ grid_red = np.linspace(-cfg.nu_z_hz - span / 2, -cfg.nu_z_hz + span / 2, points)
 grid_blue = np.linspace(cfg.nu_z_hz - span / 2, cfg.nu_z_hz + span / 2, points)
 
 print(f"scanning both sidebands of thermal(nbar = {nbar_true}) ...")
-red = simulate_scan(cfg.probe("red"), grid_red, t_probe, nbar_true,
-                    cfg=cfg.integrator())
-blue = simulate_scan(cfg.probe("blue"), grid_blue, t_probe, nbar_true,
-                     cfg=cfg.integrator())
+red = simulate_scan(cfg.probe("red"), grid_red, t_probe, nbar_true)
+blue = simulate_scan(cfg.probe("blue"), grid_blue, t_probe, nbar_true)
 
 peak_ratio = red.p_f1.max() / blue.p_f1.max()
 print(f"peak ratio r = {peak_ratio:.4f}  (nbar/(nbar+1) = "

@@ -9,7 +9,6 @@ every pulse and repump window.
 
 from sbcool import (
     ExperimentConfig,
-    IntegratorConfig,
     build_schedule,
     mean_phonon,
     schedule_total_time,
@@ -45,7 +44,6 @@ print("wrote cooling_trajectory.csv")
 small0 = thermal_distribution(1.5, 30)
 small_sched = build_schedule(6, f1, cfg.repump())
 rm = simulate_cooling(small0, small_sched, None, cfg.repump(), n_max=30)
-qm = simulate_cooling_quantum(small0, small_sched, None, n_max=30,
-                              cfg=IntegratorConfig())
+qm = simulate_cooling_quantum(small0, small_sched, None, n_max=30)
 print(f"short ladder, rate map: nbar = {mean_phonon(rm.final):.6f}")
 print(f"short ladder, quantum:  nbar = {mean_phonon(qm.final):.6f}")

@@ -19,8 +19,7 @@ times = np.linspace(0.0, 10e-3, 201)
 
 curves = {}
 for sideband in ("blue", "red"):
-    result = simulate_flop(cfg.probe(sideband), times, nbar0,
-                           heating=cfg.heating(), cfg=cfg.integrator())
+    result = simulate_flop(cfg.probe(sideband), times, nbar0, heating=cfg.heating())
     curves[sideband] = result.p_f1
     name = f"flop_{sideband}.csv"
     write_csv(name, FLOP_HEADER, [(t, p, 0) for t, p in zip(times, result.p_f1)])

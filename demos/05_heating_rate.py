@@ -50,8 +50,7 @@ for delay in delays:
         probe = cfg.probe(sideband)
         center = probe.resonance_hz()
         grid = np.linspace(center - span / 2, center + span / 2, points)
-        scans[sideband] = simulate_scan(probe, grid, cfg.probe_time_s, dist,
-                                        cfg=cfg.integrator())
+        scans[sideband] = simulate_scan(probe, grid, cfg.probe_time_s, dist)
     fit = fit_nbar_spectra(scans["red"], scans["blue"], cfg.nu_z_hz, f1,
                            cfg.dressing_rabi_hz, cfg.probe_time_s)
     print(f"  delay {delay * 1e3:5.1f} ms -> fitted nbar = {fit.value:.4f}")

@@ -23,7 +23,6 @@ from .cooling import (
 )
 from .dynamics import (
     HeatingChannel,
-    IntegratorConfig,
     LindbladModel,
     ScanResponse,
     ScanResult,
@@ -93,7 +92,7 @@ __all__ = [
     "build_schedule", "heat_distribution", "schedule_total_time",
     "simulate_cooling", "simulate_cooling_quantum",
     # dynamics
-    "HeatingChannel", "IntegratorConfig", "LindbladModel", "ScanResponse",
+    "HeatingChannel", "LindbladModel", "ScanResponse",
     "ScanResult", "SidebandProbe", "evolve_lindblad", "evolve_unitary",
     "fock_cutoff_for_dynamics", "heating_collapse_ops", "simulate_flop",
     "simulate_scan",

@@ -153,7 +153,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     t_probe = args.probe_time if args.probe_time is not None else cfg.probe_time_s
     heating = cfg.heating() if args.probe_heating else None
     result = simulate_scan(probe, detunings, t_probe, args.nbar,
-                           heating=heating, cfg=cfg.integrator(), jobs=args.jobs)
+                           heating=heating, jobs=args.jobs)
     rng = np.random.default_rng(cfg.seed)
     shots = args.shots if args.shots is not None else cfg.shots_per_point
     p, shots_col = sample_shots(result.p_f1, shots, rng)
@@ -171,8 +171,7 @@ def cmd_flop(args: argparse.Namespace) -> int:
     times = np.linspace(0.0, args.tmax, args.points)
     probe = cfg.probe(args.sideband, model=args.model)
     heating = cfg.heating() if not args.no_heating else None
-    result = simulate_flop(probe, times, args.nbar, heating=heating,
-                           cfg=cfg.integrator())
+    result = simulate_flop(probe, times, args.nbar, heating=heating)
     rng = np.random.default_rng(cfg.seed)
     shots = args.shots if args.shots is not None else 0
     p, shots_col = sample_shots(result.p_f1, shots, rng)
@@ -250,7 +249,7 @@ def _read_out(cfg: ExperimentConfig, delays: list[float],
             probe = cfg.probe(sideband)
             grid = _scan_grid(probe.resonance_hz(), 4000.0, 41)
             scans[sideband] = simulate_scan(probe, grid, cfg.probe_time_s, dist,
-                                            heating=heating, cfg=cfg.integrator())
+                                            heating=heating)
         fit = _fit_pair(cfg, scans["red"], scans["blue"], "analytic")
         readouts.append((delay, scans, fit))
     return cooled, readouts
@@ -354,8 +353,7 @@ def _repro_fig3(args: argparse.Namespace, cfg: ExperimentConfig,
     times = np.linspace(0.0, 10e-3, 201)
     for sideband in ("red", "blue"):
         probe = cfg.probe(sideband)
-        result = simulate_flop(probe, times, 0.13, heating=cfg.heating(),
-                               cfg=cfg.integrator())
+        result = simulate_flop(probe, times, 0.13, heating=cfg.heating())
         out = outdir / f"flop_{sideband}.csv"
         rows = [(t, p, 0) for t, p in zip(result.x, result.p_f1)]
         write_csv(out, FLOP_HEADER, rows)
@@ -411,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-heating", action="store_true",
                    help="include heating during the probe window")
     p.add_argument("--jobs", type=_jobs_arg, default=1,
-                   help="processes for heated scan points; a closed scan is one batched solve")
+                   help="processes for heated scan points, never more than the detunings; "
+                        "a closed scan is one batched solve")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("flop", parents=[common],

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .cooling import RepumpModel
-from .dynamics import HeatingChannel, IntegratorConfig, SidebandProbe
+from .dynamics import HeatingChannel, SidebandProbe
 from .errors import ConfigError
 from .ion import TrapParams, lamb_dicke_eff
 
@@ -45,15 +45,13 @@ class ExperimentConfig:
     recoil_quanta: float = 0.0
     shots_per_point: int = 100
     seed: int = 12345
-    integrator_rel_tol: float = 1e-8
-    integrator_abs_tol: float = 1e-11
 
     def __post_init__(self) -> None:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         positive = ("mass_amu", "nu_z_hz", "carrier_rabi_hz", "probe_time_s",
-                    "doppler_linewidth_hz", "integrator_rel_tol", "integrator_abs_tol")
+                    "doppler_linewidth_hz")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -98,9 +96,6 @@ class ExperimentConfig:
         if self.heating_rate_per_s == 0:
             return None
         return HeatingChannel(self.heating_rate_per_s)
-
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(self.integrator_rel_tol, self.integrator_abs_tol)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -37,7 +37,6 @@ import numpy as np
 from .errors import IntegrationError, TruncationError
 from .dynamics import (
     HeatingChannel,
-    IntegratorConfig,
     LindbladModel,
     SidebandProbe,
     evolve_lindblad,
@@ -370,7 +369,6 @@ def simulate_cooling_quantum(
     schedule: PulseSchedule,
     heating: HeatingChannel | None = None,
     n_max: int = 40,
-    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> CoolingResult:
     """Master-equation twin of simulate_cooling on the effective model.
 
@@ -400,7 +398,7 @@ def simulate_cooling_quantum(
     for pulse in schedule.pulses:
         if pulse.kind == SIDEBAND_KIND:
             rho0 = distribution_density(FockDistribution(pops), space, "0'")
-            state = evolve_lindblad(model, rho0, [pulse.duration_s], cfg)[-1]
+            state = evolve_lindblad(model, rho0, [pulse.duration_s])[-1]
             pops = _clip_roundoff(motional_populations(state), "master-equation pulse")
             t += pulse.duration_s
             k += 1

@@ -56,7 +56,6 @@ from .qcore import (
 
 __all__ = [
     "HeatingChannel",
-    "IntegratorConfig",
     "LindbladModel",
     "ScanResponse",
     "ScanResult",
@@ -71,13 +70,17 @@ __all__ = [
 
 # Population allowed in the top Fock level before results are rejected.
 TOP_LEVEL_TOL = 1e-6
-# Trace drift above this aborts with diagnostics; the contract at default
-# tolerances is tighter (< 1e-8) and is asserted by tests.
+# Trace drift above this aborts with diagnostics; the contract at the RK45
+# tolerances below is tighter (< 1e-8) and is asserted by tests.
 TRACE_DRIFT_ABORT = 1e-6
 # Slack outside [0, 1] that ScanResult clips; past it a readout is an error.
 _P_SLACK = 1e-7
 # DensityMatrix's tolerances for integrator output.
 _STATE_TOLS = dict(herm_tol=1e-10, trace_tol=1e-6, psd_tol=1e-7)
+# Tolerances of the in-package RK45 (solve_ivp) for runs with dissipation.
+# They govern the interaction-picture state e^{iHt} rho e^{-iHt}, moved by
+# the dissipator alone; H's rotation, and any closed system, is exact.
+RK45_RTOL, RK45_ATOL = 1e-8, 1e-11
 
 
 @dataclass(frozen=True)
@@ -89,26 +92,6 @@ class HeatingChannel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.n_dot < math.inf:
             raise ValueError(f"n_dot must be finite and >= 0, got {self.n_dot!r}")
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances of the in-package RK45 (solve_ivp) for runs with dissipation.
-
-    rel_tol     relative tolerance
-    abs_tol     absolute tolerance
-
-    They govern the interaction-picture state e^{iHt} rho e^{-iHt}, moved by
-    the dissipator alone; H's rotation, and any closed system, is exact.
-    """
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-11
-
-    def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -168,15 +151,15 @@ def evolve_lindblad(
     model: LindbladModel,
     rho0: DensityMatrix,
     times: Sequence[float],
-    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> list[DensityMatrix]:
     """Evolve drho/dt = -i[H, rho] + sum_k D[L_k] rho to the given times.
 
     times must be strictly increasing and start at >= 0; evolution always
     starts from t = 0 with rho0.  A closed system (no nonzero collapse
     operator) is propagated exactly, tile by tile of H's blocks; anything
-    else is integrated with RK45 on the entries reachable from rho0 in the
-    interaction picture of H.  Each full state is built from those entries.
+    else is integrated with RK45, at tolerances RK45_RTOL and RK45_ATOL, on
+    the entries reachable from rho0 in the interaction picture of H.  Each
+    full state is built from those entries.
     The dissipator is held as s^2 x s^2 superoperator tiles, so memory grows
     as s^4 per tile, s the largest block of H; sbcool's builders give s <= 4
     (2 effective, 4 full_dressed), and no guard checks other Hamiltonians.
@@ -190,7 +173,7 @@ def evolve_lindblad(
         raise ValueError("initial state dimension does not match model")
 
     keep, x = _integrate(model.hamiltonian.matrix, _nonzero_ops(model.collapse_ops),
-                         rho0.matrix, t, cfg)
+                         rho0.matrix, t)
     return _validated(model.space, (_full(model.space.dim, keep, col) for col in x.T), t)
 
 
@@ -282,7 +265,7 @@ def _kron(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray,
-               t: np.ndarray, cfg: IntegratorConfig) -> tuple[np.ndarray, np.ndarray]:
+               t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """RK45 on the entries reachable from rho0's in the interaction picture of
     H: in H's eigenbasis rho_ab = phi_ab y_ab, phi_ab = e^{-i (lambda_a -
     lambda_b) t}, and dy/dt = conj(phi) (D~ (phi y)) with D~ = sum_k D[V' L_k V],
@@ -291,8 +274,9 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
     hold rho0's, and V maps each to itself.  On tiles padded to s x s, D~ is
     each target tile's row of s^2 x s^2 superoperator tiles, applied to its
     source tiles by one gather and one batched matmul, and V one s^2 x s^2
-    product per tile.  With no jump (a closed system) y stays y(0), so no
-    RK45 runs and the result is exact.
+    product per tile.  RK45 runs at tolerances RK45_RTOL and RK45_ATOL; with
+    no jump (a closed system) y stays y(0), so no RK45 runs and the result
+    is exact.
 
     Returns (keep, x): the sorted flat indices of the m reachable entries and
     x (m x T), their lab-basis values at every time (one batched product);
@@ -348,7 +332,7 @@ def _integrate(h_mat: np.ndarray, l_mats: list[np.ndarray], rho0_mat: np.ndarray
 
     if l_mats and t[-1] > 0.0:
         sol = solve_ivp(rhs, (0.0, float(t[-1])), ys[:, 0], method="RK45", t_eval=t,
-                        rtol=cfg.rel_tol, atol=cfg.abs_tol)
+                        rtol=RK45_RTOL, atol=RK45_ATOL)
         if not sol.success:
             raise IntegrationError(f"integrator failed: {sol.message}")
         ys = sol.y
@@ -546,13 +530,14 @@ def fock_cutoff_for_dynamics(n_bar0: float, n_dot: float, t_max: float) -> int:
     Raises TruncationError when the policy would ask for a space too large to
     hold a density matrix; pass n_max explicitly to override the ceiling.
     """
-    n_max = max(20, int(math.ceil(20.0 * (n_bar0 + n_dot * t_max + 1.0))))
-    if n_max > FOCK_CUTOFF_CEILING:
+    want = 20.0 * (n_bar0 + n_dot * t_max + 1.0)
+    if not want <= FOCK_CUTOFF_CEILING:  # inf and NaN fail before ceil can overflow
         raise TruncationError(
-            f"cutoff policy wants n_max = {n_max} > ceiling {FOCK_CUTOFF_CEILING}; "
+            f"cutoff policy wants n_max = {math.ceil(want) if math.isfinite(want) else want}"
+            f" > ceiling {FOCK_CUTOFF_CEILING}; "
             f"the problem (n_bar0 = {n_bar0:g}, n_dot t = {n_dot * t_max:g}) is too "
             f"hot for a density-matrix run; pass n_max explicitly to override")
-    return n_max
+    return max(20, math.ceil(want))
 
 
 def _check_top(top: float) -> None:
@@ -668,7 +653,6 @@ def simulate_flop(
     times: Sequence[float],
     initial: InitialState,
     heating: HeatingChannel | None = None,
-    cfg: IntegratorConfig = IntegratorConfig(),
     n_max: int | None = None,
 ) -> ScanResult:
     """Resonant sideband flop: P(F=1) versus probe duration.
@@ -680,12 +664,12 @@ def simulate_flop(
     """
     t = _time_grid(times)
     return ScanResult(t, _read_f1(probe, np.array([probe.resonance_hz()]), t,
-                                  initial, heating, cfg, n_max, jobs=1))
+                                  initial, heating, n_max, jobs=1))
 
 
 def _read_f1(probe: SidebandProbe, deltas: np.ndarray, times: np.ndarray,
              initial: InitialState, heating: HeatingChannel | None,
-             cfg: IntegratorConfig, n_max: int | None, jobs: int) -> np.ndarray:
+             n_max: int | None, jobs: int) -> np.ndarray:
     """P(F=1) at every (detuning, time) pair, detuning-major: the closed
     engine, or one RK45 run per detuning (in a pool when jobs > 1) if heated.
     A readout outside [0, 1] by more than _P_SLACK raises IntegrationError."""
@@ -698,12 +682,12 @@ def _read_f1(probe: SidebandProbe, deltas: np.ndarray, times: np.ndarray,
     else:
         rho0 = distribution_density(dist0, probe.space(n_max), "0'")
         collapse = tuple(heating_collapse_ops(heating, rho0.space))
-        tasks = [(probe, float(d), times, rho0, collapse, cfg) for d in deltas]
+        tasks = [(probe, float(d), times, rho0, collapse) for d in deltas]
         if jobs == 1:
             p = np.concatenate([_heated_point(task) for task in tasks])
         else:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
                 p = np.concatenate(list(pool.map(_heated_point, tasks)))
     if not (np.all(p >= -_P_SLACK) and np.all(p <= 1.0 + _P_SLACK)):  # NaN fails
         raise IntegrationError(f"engine readout P(F=1) outside [0, 1]: [{p.min()}, {p.max()}]")
@@ -713,10 +697,10 @@ def _read_f1(probe: SidebandProbe, deltas: np.ndarray, times: np.ndarray,
 def _heated_point(args) -> np.ndarray:
     """P(F=1) at one detuning and every time, read from the kept entries with
     no D x D state built; checks every state and the last one's top level."""
-    probe, delta_hz, times, rho0, collapse, cfg = args
+    probe, delta_hz, times, rho0, collapse = args
     space = rho0.space
     h = LindbladModel(probe.hamiltonian(space, delta_hz), collapse).hamiltonian.matrix
-    keep, x = _integrate(h, _nonzero_ops(collapse), rho0.matrix, times, cfg)
+    keep, x = _integrate(h, _nonzero_ops(collapse), rho0.matrix, times)
     pops = _kept_populations(space, keep, x, times)
     _check_top(float(pops[-1].reshape(space.spin.dim, space.fock.dim).sum(axis=0)[-1]))
     return _p_f1(space, pops)
@@ -728,7 +712,6 @@ def simulate_scan(
     t_probe_s: float,
     initial: InitialState,
     heating: HeatingChannel | None = None,
-    cfg: IntegratorConfig = IntegratorConfig(),
     n_max: int | None = None,
     jobs: int = 1,
 ) -> ScanResult:
@@ -737,7 +720,8 @@ def simulate_scan(
     detunings_hz are relative to the dressed carrier (so the addressed
     sideband peaks at -nu_z for red, +nu_z for blue).  A closed scan is one
     batched exact solve; a heated scan integrates each detuning, in a pool of
-    jobs processes when jobs > 1, with output order fixed by the input grid.
+    jobs processes (never more than the detunings) when jobs > 1, with output
+    order fixed by the input grid.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -745,7 +729,7 @@ def simulate_scan(
     if not t_probe_s > 0:  # NaN included
         raise ValueError("t_probe_s must be > 0")
     return ScanResult(deltas, _read_f1(probe, deltas, np.array([float(t_probe_s)]),
-                                       initial, heating, cfg, n_max, jobs))
+                                       initial, heating, n_max, jobs))
 
 
 @dataclass(frozen=True)

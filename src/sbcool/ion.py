@@ -131,19 +131,19 @@ def two_level_space(n_max: int) -> ProductSpace:
 # derived quantities
 
 
-def ground_state_extent(tp: TrapParams, constants: PhysicalConstants = CODATA) -> float:
+def ground_state_extent(tp: TrapParams) -> float:
     """Ground-state wavepacket size z0 = sqrt(hbar / (2 m omega_z)) in metres."""
-    return math.sqrt(constants.hbar / (2.0 * tp.mass_kg * tp.omega_z))
+    return math.sqrt(CODATA.hbar / (2.0 * tp.mass_kg * tp.omega_z))
 
 
-def lamb_dicke_eff(tp: TrapParams, constants: PhysicalConstants = CODATA) -> float:
+def lamb_dicke_eff(tp: TrapParams) -> float:
     """Effective Lamb-Dicke parameter of the gradient coupling.
 
     eta_eff = z0 * mu_B * dB/dz / (hbar * omega_z); dimensionless.  Scales as
     gradient^1 and nu_z^(-3/2).
     """
-    z0 = ground_state_extent(tp, constants)
-    return z0 * constants.mu_b * tp.gradient_t_m / (constants.hbar * tp.omega_z)
+    z0 = ground_state_extent(tp)
+    return z0 * CODATA.mu_b * tp.gradient_t_m / (CODATA.hbar * tp.omega_z)
 
 
 def sideband_rabi(n: int, sideband: Sideband, eta: float, omega_hz: float) -> float:

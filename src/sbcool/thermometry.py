@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import ScanResponse, SidebandProbe, _closed_response, fock_cutoff_for_dynamics
 from .errors import FitError
-from .ion import CODATA, PhysicalConstants
+from .ion import CODATA
 from .qcore import FockDistribution, thermal_distribution
 
 __all__ = [
@@ -362,8 +362,10 @@ def fit_heating_rate(
     """
     t = np.asarray(delays_s, dtype=float)
     y = np.asarray(nbars, dtype=float)
-    if t.shape != y.shape or t.ndim != 1 or t.size < 2:
-        raise ValueError("need matching 1-D arrays with at least two points")
+    if t.shape != y.shape or t.ndim != 1:
+        raise ValueError("need matching 1-D arrays of delays and n_bar")
+    if np.unique(t).size < 2:
+        raise ValueError(f"need at least two distinct delays, got {t.tolist()}")
     if errors is not None:
         err = np.asarray(errors, dtype=float)
         if err.shape != t.shape or np.any(err <= 0):
@@ -379,7 +381,7 @@ def fit_heating_rate(
     swty = np.dot(w, t * y)
     det = sw * swt2 - swt ** 2
     if det <= 0:
-        raise FitError("degenerate delay design: need at least two distinct delays")
+        raise FitError("degenerate delay design: the delays are too close to fit a slope")
     slope = (sw * swty - swt * swy) / det
     intercept = (swt2 * swy - swt * swty) / det
     resid = y - (intercept + slope * t)
@@ -397,15 +399,14 @@ def fit_heating_rate(
 # derived environmental quantities
 
 
-def noise_density(n_dot: float, nu_z_hz: float, mass_amu: float,
-                  constants: PhysicalConstants = CODATA) -> float:
+def noise_density(n_dot: float, nu_z_hz: float, mass_amu: float) -> float:
     """Electric-field noise density nu S_E(nu) = 4 ndot hbar m omega^2 / e^2
     implied by a heating rate, in V^2 m^-2 (omega the angular trap frequency)."""
     if n_dot < 0 or nu_z_hz <= 0 or mass_amu <= 0:
         raise ValueError("n_dot >= 0 and positive nu_z, mass required")
     omega = 2.0 * math.pi * nu_z_hz
-    mass = mass_amu * constants.amu
-    return 4.0 * n_dot * constants.hbar * mass * omega ** 2 / constants.e ** 2
+    mass = mass_amu * CODATA.amu
+    return 4.0 * n_dot * CODATA.hbar * mass * omega ** 2 / CODATA.e ** 2
 
 
 def doppler_limit(linewidth_hz: float, nu_z_hz: float) -> float:

@@ -51,8 +51,7 @@ def test_criterion_03_master_equation_matches_closed_form():
         n_max = sb.fock_cutoff_for_dynamics(nbar, 0.0, times[-1])
         assert n_max <= 80
         for sideband in ("red", "blue"):
-            run = sb.simulate_flop(CFG.probe(sideband), times, nbar,
-                                   cfg=CFG.integrator())
+            run = sb.simulate_flop(CFG.probe(sideband), times, nbar)
             ana = sb.sideband_probability(times, sideband, nbar, F1)
             worst = max(worst, float(np.max(np.abs(run.p_f1 - ana))))
     elapsed = time.perf_counter() - t0
@@ -66,10 +65,8 @@ def test_criterion_04_sideband_ratio_thermometry():
     t0 = time.perf_counter()
     grid_r = np.linspace(-NU - 2000.0, -NU + 2000.0, 41)
     grid_b = np.linspace(NU - 2000.0, NU + 2000.0, 41)
-    red = sb.simulate_scan(CFG.probe("red"), grid_r, T_PROBE, 0.13,
-                           cfg=CFG.integrator())
-    blue = sb.simulate_scan(CFG.probe("blue"), grid_b, T_PROBE, 0.13,
-                            cfg=CFG.integrator())
+    red = sb.simulate_scan(CFG.probe("red"), grid_r, T_PROBE, 0.13)
+    blue = sb.simulate_scan(CFG.probe("blue"), grid_b, T_PROBE, 0.13)
 
     noiseless = sb.fit_nbar_spectra(red, blue, NU, F1, CFG.dressing_rabi_hz, T_PROBE,
                                     forward="integrate")
@@ -120,8 +117,7 @@ def test_criterion_06_rate_map_vs_quantum():
     sched = sb.build_schedule(8, F1, CFG.repump())
     dist0 = sb.thermal_distribution(1.5, 40)
     rm = sb.simulate_cooling(dist0, sched, None, CFG.repump(), n_max=40)
-    qm = sb.simulate_cooling_quantum(dist0, sched, None, n_max=40,
-                                     cfg=CFG.integrator())
+    qm = sb.simulate_cooling_quantum(dist0, sched, None, n_max=40)
     elapsed = time.perf_counter() - t0
     a, b = sb.mean_phonon(rm.final), sb.mean_phonon(qm.final)
     rel = abs(a - b) / a
@@ -151,8 +147,7 @@ def test_criterion_08_vacuum_heating_property():
     h = sb.effective_two_level_hamiltonian(0.0, NU, -NU, space)
     ops = tuple(sb.heating_collapse_ops(sb.HeatingChannel(41.0), space))
     state = sb.evolve_lindblad(sb.LindbladModel(h, ops),
-                               sb.thermal_density(0.0, space), [10e-3],
-                               CFG.integrator())[-1]
+                               sb.thermal_density(0.0, space), [10e-3])[-1]
     nbar = sb.mean_phonon(state)
     drift = abs(float(np.real(np.trace(state.matrix))) - 1.0)
     assert nbar == pytest.approx(0.41, rel=0.02)
@@ -164,10 +159,8 @@ def test_criterion_08_vacuum_heating_property():
 def test_criterion_09_long_flop_properties():
     cfg = sb.ExperimentConfig(**{**CFG.as_dict(), "sideband_rabi_hz": 350.0})
     times = np.linspace(0.0, 10e-3, 201)
-    blue = sb.simulate_flop(cfg.probe("blue"), times, 0.13,
-                            heating=cfg.heating(), cfg=cfg.integrator()).p_f1
-    red = sb.simulate_flop(cfg.probe("red"), times, 0.13,
-                           heating=cfg.heating(), cfg=cfg.integrator()).p_f1
+    blue = sb.simulate_flop(cfg.probe("blue"), times, 0.13, heating=cfg.heating()).p_f1
+    red = sb.simulate_flop(cfg.probe("red"), times, 0.13, heating=cfg.heating()).p_f1
     interior = (blue[1:-1] > blue[:-2]) & (blue[1:-1] > blue[2:])
     first_max = float(blue[1:-1][interior][0])
     late = times >= 7e-3

@@ -55,8 +55,8 @@ def test_scan_probe_heating_runs_the_heated_scan(tmp_path):
     probe = cfg.probe("blue")
     grid = probe.resonance_hz() + np.array([-1000.0, 0.0, 1000.0])
     heated = sbcool.simulate_scan(probe, grid, cfg.probe_time_s, 0.13,
-                                  heating=cfg.heating(), cfg=cfg.integrator())
-    closed = sbcool.simulate_scan(probe, grid, cfg.probe_time_s, 0.13, cfg=cfg.integrator())
+                                  heating=cfg.heating())
+    closed = sbcool.simulate_scan(probe, grid, cfg.probe_time_s, 0.13)
     out = tmp_path / "heated.csv"
     assert run(["scan", "--sideband", "blue", "--points", "3", "--span", "2000",
                 "--shots", "inf", "--probe-heating", "--out", out]) == 0
@@ -179,6 +179,20 @@ def test_fit_heatrate_rejects_a_negative_error(tmp_path, capsys):
     assert "nbar_err must be >= 0 (0 = no error bar), got -0.01" in captured.err
 
 
+@pytest.mark.parametrize("rows", [
+    "0.005,0.3,0.01\n0.005,0.31,0.01\n",
+    "0.005,0.3,0\n0.005,0.31,0\n0.005,0.32,0\n",
+], ids=["two-weighted", "three-unweighted"])
+def test_fit_heatrate_rejects_delays_that_are_all_equal(tmp_path, capsys, rows):
+    # a bad data file, not a numerical failure, and never a fitted rate
+    path = tmp_path / "h.csv"
+    path.write_text("delay_s,nbar,nbar_err\n" + rows)
+    assert run(["fit", path, "--mode", "heatrate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need at least two distinct delays, got [0.005, 0.005" in captured.err
+
+
 def test_cool_writes_trajectory_and_distribution(tmp_path):
     out, dist = tmp_path / "cool.csv", tmp_path / "dist.csv"
     assert run(["cool", "--nstart", "20", "--nbar0", "2.0", "--out", out,
@@ -199,7 +213,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert run(["constants", "--set", "zeeman_splitting_hz=1"]) == 2
     assert "unknown key 'zeeman_splitting_hz'" in capsys.readouterr().err
     assert run(["constants", "--set", "nonsense"]) == 2
-    for key, value in (("integrator_method", "adaptive"), ("integrator_max_step_s", "0")):
+    retired = (("integrator_method", "adaptive"), ("integrator_max_step_s", "0"),
+               ("integrator_rel_tol", "1e-8"), ("integrator_abs_tol", "1e-11"))
+    for key, value in retired:
         assert run(["constants", "--set", f"{key}={value}"]) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
     assert run(["heatrate", "--delays", "0.005"]) == 2  # needs two delays
@@ -232,6 +248,18 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
                 "--out", out])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flop", "--sideband", "red", "--tmax", "1e308"],
+    ["heatrate", "--delays", "0,1e308", "--set", "n_start=5"],
+    ["scan", "--sideband", "red", "--points", "3", "--probe-heating", "--probe-time", "1e308"],
+], ids=["flop", "heatrate", "scan"])
+def test_exit_code_3_when_the_cutoff_policy_overflows(tmp_path, capsys, argv):
+    # the policy's n_max is inf here: too hot, like any n_max past the ceiling
+    assert run(argv + ["--out", tmp_path / "out.csv"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "too hot" in err
 
 
 @pytest.mark.parametrize("flag", ["--no-heating", None])
@@ -271,10 +299,12 @@ def test_exit_code_3_when_the_engine_reads_out_of_range(tmp_path, capsys, monkey
     assert "numerical failure" in err and "outside [0, 1]" in err
 
 
-def test_exit_code_3_when_integrator_output_is_not_a_state(tmp_path, capsys):
+def test_exit_code_3_when_integrator_output_is_not_a_state(tmp_path, capsys, monkeypatch):
     # loose tolerances let the integrator return a non-positive state
+    import sbcool.dynamics as dynamics
+    monkeypatch.setattr(dynamics, "RK45_RTOL", 1e-1)
+    monkeypatch.setattr(dynamics, "RK45_ATOL", 1e-1)
     code = run(["flop", "--sideband", "blue", "--tmax", "5e-3", "--points", "21",
-                "--set", "integrator_rel_tol=1e-1", "--set", "integrator_abs_tol=1e-1",
                 "--out", tmp_path / "flop.csv"])
     assert code == 3
     err = capsys.readouterr().err

@@ -47,13 +47,13 @@ def test_parse_config_text_happy_path():
 
     heating_rate_per_s = 10  # trailing comment
     n_start = 20
-    integrator_rel_tol = 1e-9
+    probe_time_s = 1e-3
     """
     cfg = ExperimentConfig(**parse_config_text(text, source="inline"))
     assert cfg.nu_z_hz == 400e3
     assert cfg.heating_rate_per_s == 10.0
     assert cfg.n_start == 20
-    assert cfg.integrator_rel_tol == 1e-9
+    assert cfg.probe_time_s == 1e-3
     # untouched keys keep defaults
     assert cfg.carrier_rabi_hz == 61.2e3
 
@@ -83,7 +83,7 @@ def test_config_validation_is_total():
     with pytest.raises(ConfigError):
         ExperimentConfig(probe_time_s=0.0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(integrator_rel_tol=0.0)
+        ExperimentConfig(carrier_rabi_hz=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(seed=-1)
     with pytest.raises(ConfigError):

@@ -21,7 +21,6 @@ from sbcool import (
     FockDistribution,
     HeatingChannel,
     IntegrationError,
-    IntegratorConfig,
     LindbladModel,
     Operator,
     PulseSchedule,
@@ -125,7 +124,7 @@ def test_heating_propagator_matches_lindblad():
     h = effective_two_level_hamiltonian(0.0, 426.7e3, -426.7e3, space)
     ops = tuple(heating_collapse_ops(HeatingChannel(120.0), space))
     rho = evolve_lindblad(LindbladModel(h, ops), thermal_density(0.3, space),
-                          [5e-3], IntegratorConfig())[-1]
+                          [5e-3])[-1]
     direct = heat_distribution(thermal_distribution(0.3, 50), 120.0, 5e-3)
     assert np.max(np.abs(motional_populations(rho) - direct.populations)) < 1e-6
 
@@ -217,8 +216,7 @@ def test_quantum_and_rate_map_agree_small_case():
     sched = build_schedule(4, F1, RepumpModel())
     dist0 = thermal_distribution(1.0, 25)
     rm = simulate_cooling(dist0, sched, None, RepumpModel(), n_max=25)
-    qm = simulate_cooling_quantum(dist0, sched, None, n_max=25,
-                                  cfg=IntegratorConfig())
+    qm = simulate_cooling_quantum(dist0, sched, None, n_max=25)
     a, b = mean_phonon(rm.final), mean_phonon(qm.final)
     assert abs(a - b) / a < 0.05
     assert np.max(np.abs(rm.final.populations - qm.final.populations)) < 1e-5

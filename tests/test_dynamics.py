@@ -22,7 +22,6 @@ from sbcool import (
     FockDistribution,
     HeatingChannel,
     IntegrationError,
-    IntegratorConfig,
     LindbladModel,
     Operator,
     ScanResult,
@@ -79,7 +78,7 @@ def test_unitary_matches_lindblad_without_collapse():
                                         sideband="blue")
     rho0 = thermal_density(0.0, space)
     times = np.linspace(1e-4, 2e-3, 7)
-    li = evolve_lindblad(LindbladModel(h, ()), rho0, times, IntegratorConfig())
+    li = evolve_lindblad(LindbladModel(h, ()), rho0, times)
     un = evolve_unitary(h, rho0, times)
     for a, b in zip(li, un):
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
@@ -104,7 +103,7 @@ def test_heating_rate_exact_on_vacuum_and_thermal():
     model = LindbladModel(h, ops)
     for nbar0 in (0.0, 0.5):
         rho0 = thermal_density(nbar0, space)
-        states = evolve_lindblad(model, rho0, [5e-3, 10e-3], IntegratorConfig())
+        states = evolve_lindblad(model, rho0, [5e-3, 10e-3])
         assert mean_phonon(states[0]) == pytest.approx(nbar0 + 41.0 * 5e-3, rel=1e-6)
         assert mean_phonon(states[1]) == pytest.approx(nbar0 + 41.0 * 10e-3, rel=1e-6)
         drift = abs(float(np.real(np.trace(states[1].matrix))) - 1.0)
@@ -153,6 +152,36 @@ def test_scan_parallel_matches_serial():
     b = simulate_scan(resonant_probe("blue"), grid, 0.8e-3, 0.2, heating, n_max=10, jobs=2)
     assert np.array_equal(a.x, b.x)
     assert np.max(np.abs(a.p_f1 - b.p_f1)) < 1e-12
+
+
+def test_heated_scan_pool_never_exceeds_the_detunings(monkeypatch):
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    grid = 426.7e3 + np.array([-500.0, 0.0, 500.0])
+    simulate_scan(resonant_probe("blue"), grid, 0.8e-3, 0.2, HeatingChannel(41.0),
+                  n_max=10, jobs=8)
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize("n_dot", [np.inf, np.nan])
+def test_cutoff_policy_that_overflows_is_too_hot(n_dot):
+    with pytest.raises(TruncationError, match="too hot"):
+        dynamics.fock_cutoff_for_dynamics(0.13, n_dot, 1e-3)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -610,7 +639,7 @@ def test_heated_run_keeps_trace_positivity_and_heating_rate(problem):
     for state, ti in zip(evolve_lindblad(model, rho0, times), times):
         # d<N>/dt = n_dot, to within ten times RK45's relative tolerance
         assert mean_phonon(state) == pytest.approx(n0 + n_dot * ti,
-                                                   rel=10 * IntegratorConfig().rel_tol)
+                                                   rel=10 * dynamics.RK45_RTOL)
         assert abs(np.trace(state.matrix) - 1.0) < 1e-8
         # accepted again at the tolerances of an exactly constructed state
         DensityMatrix(model.space, state.matrix)
@@ -627,7 +656,7 @@ def _closed_blue_flop(space):
     ([(0, 1), (1, 0)], "non-finite"),
 ])
 def test_non_finite_output_is_an_integration_error(monkeypatch, entries, reason):
-    def nan_states(_h_mat, _l_mats, rho0_mat, t, _cfg):
+    def nan_states(_h_mat, _l_mats, rho0_mat, t):
         rho = np.array(rho0_mat)
         for idx in entries:
             rho[idx] = np.nan
@@ -705,8 +734,6 @@ def test_probe_resonance_and_rabi_properties():
         (TrapParams, "nu_z_hz", np.nan),
         (TrapParams, "mass_amu", np.nan),
         (TrapParams, "gradient_t_m", np.inf),
-        (IntegratorConfig, "rel_tol", np.nan),
-        (IntegratorConfig, "abs_tol", np.inf),
     ]])
 def test_non_finite_parameters_are_rejected_by_name(make, name, value):
     base = {"sideband_rabi_hz": F1} if make is SidebandProbe else {}

@@ -18,7 +18,6 @@ import sbcool.dynamics as dynamics
 from sbcool import (
     HeatingChannel,
     IntegrationError,
-    IntegratorConfig,
     LindbladModel,
     evolve_lindblad,
     heating_collapse_ops,
@@ -172,7 +171,7 @@ def test_block_check_accepts_only_what_validated_accepts(problem):
         rho0 = distribution_density(thermal_distribution(NBAR, space.fock.n_max), space, "0'")
         probe = _probe("red")
         task = (probe, probe.resonance_hz(), t, rho0,
-                tuple(heating_collapse_ops(HEATING, space)), IntegratorConfig())
+                tuple(heating_collapse_ops(HEATING, space)))
         with pytest.raises(IntegrationError) as err:
             dynamics._heated_point(task)
         assert str(err.value) == expected

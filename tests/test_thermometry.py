@@ -191,8 +191,11 @@ def test_fit_heating_rate_weighted():
 def test_fit_heating_rate_validation():
     with pytest.raises(ValueError):
         fit_heating_rate([1e-3], [0.1])
-    with pytest.raises(FitError):
+    with pytest.raises(ValueError, match=r"two distinct delays, got \[0.0, 0.0\]"):
         fit_heating_rate([0.0, 0.0], [0.1, 0.2])
+    # distinct delays one ulp apart: the normal equations' determinant rounds to <= 0
+    with pytest.raises(FitError, match="degenerate delay design"):
+        fit_heating_rate([0.005, np.nextafter(0.005, 1.0)], [0.1, 0.2])
 
 
 def test_noise_density_frozen():
