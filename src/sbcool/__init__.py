@@ -28,7 +28,6 @@ from .dynamics import (
     ScanResult,
     SidebandProbe,
     evolve_lindblad,
-    evolve_unitary,
     fock_cutoff_for_dynamics,
     heating_collapse_ops,
     simulate_flop,
@@ -67,7 +66,6 @@ from .qcore import (
     mean_phonon,
     motional_populations,
     tensor,
-    thermal_density,
     thermal_distribution,
     thermal_fock_cutoff,
 )
@@ -79,8 +77,6 @@ from .thermometry import (
     fit_nbar_spectra,
     noise_density,
     ratio_to_nbar,
-    sideband_probability,
-    sideband_scan_probability,
 )
 
 __all__ = [
@@ -93,7 +89,7 @@ __all__ = [
     "simulate_cooling", "simulate_cooling_quantum",
     # dynamics
     "HeatingChannel", "LindbladModel", "ScanResponse",
-    "ScanResult", "SidebandProbe", "evolve_lindblad", "evolve_unitary",
+    "ScanResult", "SidebandProbe", "evolve_lindblad",
     "fock_cutoff_for_dynamics", "heating_collapse_ops", "simulate_flop",
     "simulate_scan",
     # errors
@@ -108,10 +104,9 @@ __all__ = [
     # qcore
     "DensityMatrix", "FockBasis", "FockDistribution", "Operator",
     "ProductSpace", "SpinBasis", "embed_op", "identity_op", "lowering_op",
-    "mean_phonon", "motional_populations", "tensor", "thermal_density",
+    "mean_phonon", "motional_populations", "tensor",
     "thermal_distribution", "thermal_fock_cutoff",
     # thermometry
     "FitResult", "doppler_limit", "fit_heating_rate", "fit_nbar_flop",
     "fit_nbar_spectra", "noise_density", "ratio_to_nbar",
-    "sideband_probability", "sideband_scan_probability",
 ]

@@ -10,6 +10,7 @@ carry the only timestamp.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -378,7 +379,14 @@ def cmd_repro(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    main asks for it, so importing this module builds nothing.  Sharing is safe:
+    parse_args returns a fresh Namespace on each call (--set's list too), and
+    nothing changes the parser once it is built.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help=f"config file path (default: ${CONFIG_ENV_VAR} if set)")

@@ -62,7 +62,6 @@ __all__ = [
     "SidebandProbe",
     "heating_collapse_ops",
     "evolve_lindblad",
-    "evolve_unitary",
     "fock_cutoff_for_dynamics",
     "simulate_flop",
     "simulate_scan",
@@ -498,27 +497,6 @@ def _kept_populations(space, keep: np.ndarray, x: np.ndarray, t: np.ndarray) -> 
     if not accepted():
         _validated(space, (_full(dim, keep, col) for col in x.T), t)
     return diag.real
-
-
-def evolve_unitary(hamiltonian: Operator, rho0: DensityMatrix,
-                   times: Sequence[float]) -> list[DensityMatrix]:
-    """Closed-system evolution by one dense eigendecomposition of H.
-
-    Test oracle for the block-wise exact path that evolve_lindblad takes with
-    no collapse operators; exact up to the eigensolver.
-    """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or np.any(t < 0):
-        raise ValueError("times must be >= 0")
-    evals, vecs = np.linalg.eigh(hamiltonian.matrix)
-    rho_eig = vecs.conj().T @ rho0.matrix @ vecs
-    out = []
-    for ti in t:
-        phase = np.exp(-1j * evals * ti)
-        rho_t = (phase[:, None] * rho_eig) * phase.conj()[None, :]
-        out.append(DensityMatrix(hamiltonian.space, vecs @ rho_t @ vecs.conj().T,
-                                 herm_tol=1e-10, trace_tol=1e-9, psd_tol=1e-7))
-    return out
 
 
 FOCK_CUTOFF_CEILING = 1500

@@ -28,7 +28,6 @@ __all__ = [
     "tensor",
     "thermal_distribution",
     "thermal_fock_cutoff",
-    "thermal_density",
     "mean_phonon",
     "motional_populations",
 ]
@@ -131,25 +130,10 @@ class Operator:
         scale = max(np.abs(self.matrix).max(), 1.0)
         return np.abs(self.matrix - self.matrix.conj().T).max() <= tol * scale
 
-    def __add__(self, other: "Operator") -> "Operator":
-        if other.space != self.space:
-            raise ValueError("operator spaces differ")
-        return Operator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        if other.space != self.space:
-            raise ValueError("operator spaces differ")
-        return Operator(self.space, self.matrix - other.matrix)
-
     def __mul__(self, scalar: complex) -> "Operator":
         return Operator(self.space, self.matrix * scalar)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if other.space != self.space:
-            raise ValueError("operator spaces differ")
-        return Operator(self.space, self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
@@ -291,12 +275,6 @@ def thermal_distribution(n_bar: float, n_max: int) -> FockDistribution:
     p = np.exp(log_p)
     loss = q ** (n_max + 1)
     return FockDistribution(p / p.sum(), truncation_loss=float(loss))
-
-
-def thermal_density(n_bar: float, space: ProductSpace, spin_label: str = "0'") -> DensityMatrix:
-    """Diagonal state |spin_label><spin_label| (x) thermal(n_bar)."""
-    dist = thermal_distribution(n_bar, space.fock.n_max)
-    return distribution_density(dist, space, spin_label)
 
 
 def distribution_density(dist: FockDistribution, space: ProductSpace,

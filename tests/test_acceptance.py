@@ -12,6 +12,8 @@ import sbcool as sb
 from sbcool.cli import main as cli_main
 from sbcool.runio import FLOP_HEADER, SCAN_HEADER, read_csv
 
+from oracles import sideband_probability, thermal_density
+
 CFG = sb.ExperimentConfig()
 NU = CFG.nu_z_hz
 F1 = CFG.sideband_rabi_1_hz()
@@ -52,7 +54,7 @@ def test_criterion_03_master_equation_matches_closed_form():
         assert n_max <= 80
         for sideband in ("red", "blue"):
             run = sb.simulate_flop(CFG.probe(sideband), times, nbar)
-            ana = sb.sideband_probability(times, sideband, nbar, F1)
+            ana = sideband_probability(times, sideband, nbar, F1)
             worst = max(worst, float(np.max(np.abs(run.p_f1 - ana))))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-4
@@ -147,7 +149,7 @@ def test_criterion_08_vacuum_heating_property():
     h = sb.effective_two_level_hamiltonian(0.0, NU, -NU, space)
     ops = tuple(sb.heating_collapse_ops(sb.HeatingChannel(41.0), space))
     state = sb.evolve_lindblad(sb.LindbladModel(h, ops),
-                               sb.thermal_density(0.0, space), [10e-3])[-1]
+                               thermal_density(0.0, space), [10e-3])[-1]
     nbar = sb.mean_phonon(state)
     drift = abs(float(np.real(np.trace(state.matrix))) - 1.0)
     assert nbar == pytest.approx(0.41, rel=0.02)

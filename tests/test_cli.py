@@ -12,7 +12,7 @@ import pytest
 import sbcool
 
 from sbcool.cli import FIT_HEADER, RATE_HEADER, main
-from sbcool.config import load_config
+from sbcool.config import CONFIG_ENV_VAR, load_config
 from sbcool.runio import FLOP_HEADER, HEATRATE_HEADER, SCAN_HEADER, read_csv
 
 
@@ -193,6 +193,20 @@ def test_fit_heatrate_rejects_delays_that_are_all_equal(tmp_path, capsys, rows):
     assert "need at least two distinct delays, got [0.005, 0.005" in captured.err
 
 
+@pytest.mark.parametrize("rows", [
+    "1.0,0.1,0\n1.0000000000000002,0.2,0\n",
+    "1000.0,0.1,0\n1000.0000000000001,0.2,0\n",
+], ids=["1s", "1000s"])
+def test_fit_heatrate_exits_3_on_delays_too_close_to_resolve(tmp_path, capsys, rows):
+    # distinct delays, so not a data error, but no slope survives the rounding
+    path = tmp_path / "h.csv"
+    path.write_text("delay_s,nbar,nbar_err\n" + rows)
+    assert run(["fit", path, "--mode", "heatrate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the delays are too close to fit a slope" in captured.err
+
+
 def test_cool_writes_trajectory_and_distribution(tmp_path):
     out, dist = tmp_path / "cool.csv", tmp_path / "dist.csv"
     assert run(["cool", "--nstart", "20", "--nbar0", "2.0", "--out", out,
@@ -369,6 +383,88 @@ def test_manifest_records_main_argv(tmp_path):
     assert man["argv"] == ["sbcool", *argv]
 
 
+# Repeated in-process calls share one parser and nothing else: each call's
+# config, seed, manifest and exit code are its own.
+def _scan_manifest(tmp_path, name, *options):
+    out = tmp_path / f"{name}.csv"
+    assert run(["scan", "--sideband", "red", "--points", "3", "--shots", "inf",
+                *options, "--out", out]) == 0
+    return json.loads((tmp_path / f"{name}.manifest.json").read_text())
+
+
+def test_repeated_calls_get_their_own_config_and_seed(tmp_path, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("seed = 3\nheating_rate_per_s = 50\n")
+    first = _scan_manifest(tmp_path, "first", "--config", cfg, "--set", "seed=7")
+    second = _scan_manifest(tmp_path, "second")
+    assert (first["seed"], first["config"]["heating_rate_per_s"]) == (7, 50.0)
+    assert (second["seed"], second["config"]["heating_rate_per_s"]) == (12345, 41.0)
+    assert second["argv"] == ["sbcool", "scan", "--sideband", "red", "--points", "3",
+                              "--shots", "inf", "--out", str(tmp_path / "second.csv")]
+
+
+def test_repeated_calls_read_the_config_variable_each_time(tmp_path, monkeypatch):
+    for name, rate in (("a", 50.0), ("b", 60.0)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"heating_rate_per_s = {rate}\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        assert _scan_manifest(tmp_path, name)["config"]["heating_rate_per_s"] == rate
+
+
+def test_a_call_argparse_rejects_leaves_the_next_call_alone(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    with pytest.raises(SystemExit) as rejected:
+        run(["scan", "--set", "seed=9", "--sideband", "green", "--out", tmp_path / "x.csv"])
+    assert rejected.value.code == 2
+    assert "invalid choice: 'green'" in capsys.readouterr().err
+    assert _scan_manifest(tmp_path, "after")["seed"] == 12345
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _run_fresh(script, cwd, *args):
+    """Run script in a fresh interpreter that imports this tree's sbcool."""
+    root = Path(sbcool.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# Counts the ArgumentParser objects built: none at import or load_config, and
+# none after the first main call.
+_PARSER_BUILDS = """
+import argparse, json
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+import sbcool.cli
+from sbcool.config import load_config
+
+load_config(None)
+counts = [len(built)]
+for _ in range(3):
+    assert sbcool.cli.main(["constants"]) == 0
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+
+
+def test_main_builds_the_parser_on_the_first_call_only(tmp_path):
+    counts = _run_fresh(_PARSER_BUILDS, tmp_path)
+    assert counts[0] == 0
+    assert counts[1] > 0
+    assert counts[1:] == [counts[1]] * 3
+
+
 def test_heatrate_command_writes_rows(tmp_path, capsys):
     out = tmp_path / "rate.csv"
     code = run(["heatrate", "--delays", "0,4e-3", "--set", "n_start=40",
@@ -467,14 +563,8 @@ def test_commands_import_scipy_only_on_the_paths_that_run_it(tmp_path):
     # would be most of it; a heated flop integrates with the in-package RK45
     # on numpy-only tiles, and the rate map heats by uniformization on numpy
     # alone.  No command loads any scipy module.
-    root = Path(sbcool.__file__).resolve().parents[1]
     config = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(root), os.environ.get("PYTHONPATH", "")) if p))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET, str(config)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    report = _run_fresh(_IMPORT_BUDGET, tmp_path, config)
     assert report["codes"] == [0] * 7
     assert report["seen"]["setup"] == []
     assert report["seen"]["closed"] == []

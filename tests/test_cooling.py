@@ -118,8 +118,9 @@ def test_heating_propagator_exact_mean_growth():
 
 def test_heating_propagator_matches_lindblad():
     from sbcool import (LindbladModel, effective_two_level_hamiltonian,
-                        evolve_lindblad, heating_collapse_ops, thermal_density,
+                        evolve_lindblad, heating_collapse_ops,
                         two_level_space, motional_populations)
+    from oracles import thermal_density
     space = two_level_space(50)
     h = effective_two_level_hamiltonian(0.0, 426.7e3, -426.7e3, space)
     ops = tuple(heating_collapse_ops(HeatingChannel(120.0), space))

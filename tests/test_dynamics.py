@@ -30,16 +30,12 @@ from sbcool import (
     TruncationError,
     effective_two_level_hamiltonian,
     evolve_lindblad,
-    evolve_unitary,
     heating_collapse_ops,
     load_config,
     mean_phonon,
     motional_populations,
-    sideband_probability,
-    sideband_scan_probability,
     simulate_flop,
     simulate_scan,
-    thermal_density,
     thermal_distribution,
     two_level_space,
 )
@@ -47,6 +43,13 @@ from sbcool.cli import main
 from sbcool.dynamics import _closed_response, solve_ivp as rk45
 from sbcool.qcore import distribution_density
 from sbcool.thermometry import _line_shape
+
+from oracles import (
+    evolve_unitary,
+    sideband_probability,
+    sideband_scan_probability,
+    thermal_density,
+)
 
 F1 = 394.2770864  # eta * 61.2 kHz
 

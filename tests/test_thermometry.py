@@ -21,13 +21,13 @@ from sbcool import (
     fit_nbar_spectra,
     noise_density,
     ratio_to_nbar,
-    sideband_probability,
-    sideband_scan_probability,
     simulate_scan,
     thermal_distribution,
 )
 from sbcool.dynamics import ScanResponse
 from sbcool.thermometry import _auto_n_max
+
+from oracles import sideband_probability, sideband_scan_probability
 
 F1 = 394.2770864367975
 NU = 426.7e3
@@ -193,9 +193,18 @@ def test_fit_heating_rate_validation():
         fit_heating_rate([1e-3], [0.1])
     with pytest.raises(ValueError, match=r"two distinct delays, got \[0.0, 0.0\]"):
         fit_heating_rate([0.0, 0.0], [0.1, 0.2])
-    # distinct delays one ulp apart: the normal equations' determinant rounds to <= 0
+    # distinct delays one ulp apart: their centred spread is below the floor
     with pytest.raises(FitError, match="degenerate delay design"):
         fit_heating_rate([0.005, np.nextafter(0.005, 1.0)], [0.1, 0.2])
+
+
+@pytest.mark.parametrize("delays", [[1.0, 1.0000000000000002],
+                                    [1000.0, 1000.0000000000001]])
+def test_fit_heating_rate_rejects_delays_too_close_to_resolve(delays):
+    # det rounds to a small positive value here, and the uncentred sums alone
+    # give slope 0 with std_error 3.75e6 (at 1 s) or slope -2.4e-4 (at 1000 s)
+    with pytest.raises(FitError, match="too close to fit a slope"):
+        fit_heating_rate(delays, [0.1, 0.2])
 
 
 def test_noise_density_frozen():
