@@ -3,15 +3,20 @@
 evolve_unitary is a dense-eigh check on the block-wise exact path of
 evolve_lindblad; sideband_probability and sideband_scan_probability read
 the closed-form line shape of a thermal (or explicit) Fock mixture;
-thermal_density lifts a thermal distribution into one spin level; and
-op_add, op_sub and op_matmul combine two operators on the same space.
+thermal_density lifts a thermal distribution into one spin level;
+op_add, op_sub and op_matmul combine two operators on the same space; and
+heat_term_by_term is the rate map's heating series one tridiagonal product
+per Poisson term, the reference for cooling._heat's banded blocks.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Literal, Sequence
 
 import numpy as np
+
+from sbcool.cooling import POISSON_TAIL, SPLIT_LS
 
 from sbcool.qcore import (
     DensityMatrix,
@@ -116,3 +121,47 @@ def sideband_scan_probability(
     p = _populations(state, n_max)
     return _line_shape(detuning_hz, np.array([t_probe_s]), sideband, eta_omega_hz,
                        nu_z_hz, p.size - 1) @ p
+
+
+def last_term(lam_s: float) -> int:
+    """Index of the last Poisson(lam_s) term a heating series keeps.  Past
+    k + 1 > lam_s the weights w_k fall at least geometrically, by lam_s / (k + 1),
+    so w_k lam_s / (k + 1 - lam_s) bounds the weight of all later terms."""
+    k, w = 0, math.exp(-lam_s)
+    while k + 1 <= lam_s or w * lam_s > POISSON_TAIL * (k + 1 - lam_s):
+        k += 1
+        w *= lam_s / k
+    return k
+
+
+def heat_term_by_term(p: np.ndarray, s: Sequence[float]) -> np.ndarray:
+    """exp(s_j Q) p for the non-decreasing s, as cooling._heat, with every
+    Poisson term P^k p one tridiagonal product and the rows one matmul of
+    the weights with the terms."""
+    s = np.asarray(s, dtype=float)
+    lam = 2.0 * p.size - 1.0
+    n = np.arange(p.size, dtype=float)
+    stay = 1.0 - (2.0 * n + 1.0) / lam
+    stay[-1] = 1.0 - n[-1] / lam
+    hop = n[1:] / lam
+
+    def series(p, lam_s):
+        terms = np.empty((last_term(lam_s[-1]) + 1, p.size))
+        terms[0] = p
+        for x, y in zip(terms, terms[1:]):
+            np.multiply(stay, x, out=y)
+            y[1:] += hop * x[:-1]
+            y[:-1] += hop * x[1:]
+        ratios = lam_s[:, None] / np.arange(1.0, len(terms))
+        weights = np.cumprod(np.column_stack([np.exp(-lam_s), ratios]), axis=1)
+        return weights @ terms
+
+    rows = []
+    step = SPLIT_LS / lam
+    while s[-1] > step:
+        cut = int(np.searchsorted(s, step, side="right"))
+        block = series(p, lam * np.append(s[:cut], step))
+        rows.append(block[:-1])
+        p, s = block[-1], s[cut:] - step
+    rows.append(series(p, lam * s))
+    return np.concatenate(rows)

@@ -158,6 +158,14 @@ def test_outputs_fit_back_to_their_inputs(tmp_path, capsys, monkeypatch, steps, 
         assert abs(_printed(out, "nbar") - 0.13) <= bound
 
 
+def test_cool_exits_3_when_recoil_overflows_the_top_bin(tmp_path, capsys):
+    # a recoil of 900 quanta per transferred quantum pushes the population past
+    # n_max: the top-bin guard reports it, where the renormalised shift was NaN
+    code = run(["cool", "--set", "recoil_quanta=900", "--out", tmp_path / "cool.csv"])
+    assert code == 3
+    assert "top bin population" in capsys.readouterr().err
+
+
 def test_fit_heatrate_mode(tmp_path, capsys):
     path = tmp_path / "h.csv"
     path.write_text(

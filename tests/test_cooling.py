@@ -5,7 +5,8 @@ Frozen oracles: pi-times t_n = 1/(2 f1 sqrt(n)) summed over the default
 growth n_dot * dt for the birth-death heating propagator.  The heating
 propagator is checked against scipy's expm of the dense generator on relative
 error, down to populations of 1e-12, and the rate map's grouped heating
-against expm after every schedule entry.
+against expm after every schedule entry.  The banded heating series is
+checked against the term-by-term series on every nonzero entry.
 """
 
 import re
@@ -38,12 +39,19 @@ from sbcool import (
     simulate_cooling_quantum,
     thermal_distribution,
 )
+from sbcool.cli import main
 from sbcool.cooling import (
+    BLOCK,
+    SPLIT_LS,
     TOP_BIN_TOL,
     _apply_recoil,
     _apply_transfer,
+    _chain,
     _heat,
+    _poisson_weights,
 )
+
+from oracles import heat_term_by_term, last_term
 
 F1 = 394.2770864367975
 
@@ -213,6 +221,25 @@ def test_recoil_increases_final_temperature():
     assert mean_phonon(warm.final) > mean_phonon(cold.final)
 
 
+def test_recoil_keeps_overflow_in_the_top_bin():
+    # half the mass at n = 0 and half in the top bin, shifted by one quantum
+    p = np.array([0.5, 0.0, 0.0, 0.0, 0.5])
+    out = _apply_recoil(p, 1.0, 1.0)
+    assert out.tolist() == [0.0, 0.5, 0.0, 0.0, 0.5]
+    assert _apply_recoil(p, 1.0, 900.0).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def test_recoil_raises_the_mean_by_the_shift_when_nothing_overflows():
+    p = np.zeros(40)
+    p[:20] = thermal_distribution(1.0, 19).populations
+    levels = np.arange(40)
+    for transferred, quanta in ((1.0, 3.0), (0.4, 2.5), (0.9, 0.25)):
+        out = _apply_recoil(p, transferred, quanta)
+        assert out.sum() == pytest.approx(p.sum(), rel=0.0, abs=1e-15)
+        assert levels @ out == pytest.approx(levels @ p + transferred * quanta,
+                                             rel=0.0, abs=1e-12)
+
+
 def test_quantum_and_rate_map_agree_small_case():
     sched = build_schedule(4, F1, RepumpModel())
     dist0 = thermal_distribution(1.0, 25)
@@ -285,6 +312,75 @@ def test_heat_splits_a_long_window_to_expm_accuracy():
     out = _heat(p, s)
     for row, s_j in zip(out, s):
         assert _max_relative_error(row, expm(s_j * q) @ p) < 1e-11
+
+
+def _floored(size):
+    """A cooled distribution (nbar 0.13) over a floor of 1e-11."""
+    x = 0.13 / 1.13
+    p = (1.0 - x) * x ** np.arange(size) + 1e-11
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, BLOCK, 2 * BLOCK + 1, 41, 905])
+def test_heat_is_the_term_by_term_series(size):
+    # rows at s = 0, short windows, and windows just below, at and past the
+    # split, where a chain shorter than the band is all edge
+    split = SPLIT_LS / (2.0 * size - 1.0)
+    cases = [[0.0], [0.0, 0.0, 1e-3], [1e-6, 0.05, 0.3],
+             [0.999 * split, split], [0.0, 1.001 * split], [0.5 * split, 2.5 * split]]
+    # a Fock state's far tail underflows, so it is compared above 1e-250
+    fock = np.zeros(size)
+    fock[size // 2] = 1.0
+    for p, floor in ((_floored(size), 0.0), (fock, 1e-250)):
+        for s in cases:
+            out, ref = _heat(p, s), heat_term_by_term(p, s)
+            assert out.min() >= 0.0 and np.all(out[ref == 0.0] <= floor)
+            big = ref > floor
+            assert np.max(np.abs(out[big] - ref[big]) / ref[big]) < 1e-12
+
+
+def test_poisson_weights_stop_where_the_term_by_term_loop_does():
+    # every series mean a heating window can reach, up to one ulp past a split
+    lams = np.concatenate([np.linspace(0.0, SPLIT_LS, 2001), np.geomspace(1e-12, 1.0, 40),
+                           [np.nextafter(SPLIT_LS, np.inf)]])
+    for lam in lams:
+        assert _poisson_weights(np.array([lam])).shape[1] == last_term(lam) + 1
+
+
+def test_chain_tables_are_read_only():
+    for table in _chain(41):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+def test_heat_leaves_its_input_unchanged():
+    p = _floored(41)
+    kept = p.copy()
+    _heat(p, [0.1, 20.0])
+    assert np.array_equal(p, kept) and p.flags.writeable
+
+
+def test_zero_heating_is_no_heating_bit_for_bit():
+    # with n_dot = 0 every series keeps its one K = 0 term, exp(0) p = p
+    dist0 = thermal_distribution(2.0, 30)
+    sched = build_schedule(20, F1, RepumpModel())
+    zero = simulate_cooling(dist0, sched, HeatingChannel(0.0), RepumpModel(), n_max=60)
+    none = simulate_cooling(dist0, sched, None, RepumpModel(), n_max=60)
+    p = np.zeros(61)
+    p[:31] = dist0.populations
+    for pulse in sched.pulses[::2]:
+        p, _ = _apply_transfer(p, F1, pulse.duration_s)
+    assert np.array_equal(zero.final.populations, none.final.populations)
+    assert np.array_equal(none.final.populations, p / p.sum())
+    assert np.array_equal(zero.nbar, none.nbar)
+
+
+def test_one_cool_run_builds_its_band_once(tmp_path, capsys):
+    _chain.cache_clear()
+    assert main(["cool", "--nstart", "60", "--nbar0", "5",
+                 "--out", str(tmp_path / "cool.csv")]) == 0
+    assert _chain.cache_info().misses == 1
 
 
 def _cool_heating_every_entry(dist0, schedule, n_dot, repump, n_max):
